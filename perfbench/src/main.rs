@@ -2,13 +2,14 @@
 //!
 //! Drives one named workload through the SDK's public crate APIs for a
 //! fixed measuring window, checks that the outputs are correct, and
-//! prints every metric by name with its unit. The last line of standard
-//! output is one JSON object with the keys `correct`, `attempted`,
-//! `failed` and `metrics`: the end-to-end metrics of untraced passes
-//! with `--trace 0`, the per-layer metrics with `--trace 1`. A traced
-//! run alternates traced and untraced passes, reports the difference as
-//! `trace.overhead_pct`, and writes its spans to `perfbench/out/` as a
-//! Chrome trace plus a per-layer self-time table.
+//! prints every metric by name with its unit, as `BENCHMARK.json` lists
+//! them. The last line of standard output is one JSON object with the
+//! keys `correct`, `attempted`, `failed` and `metrics`: the end-to-end
+//! metrics of untraced passes with `--trace 0`, the per-layer metrics
+//! with `--trace 1`. A traced run alternates traced and untraced
+//! passes, reports the difference as `trace.overhead_pct`, and writes
+//! its spans to `perfbench/out/` as a Chrome trace plus a per-layer
+//! self-time table.
 //!
 //! ```text
 //! perfbench --workload compile_deploy|serve_saturation|serve_chaos
@@ -19,6 +20,7 @@
 //! metric should move are documented in `perfbench/README.md`.
 
 mod compile_deploy;
+mod pace;
 mod probe;
 mod serve;
 mod stats;
@@ -29,96 +31,74 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use everest_telemetry::Registry;
+use serde::Deserialize;
 
 use crate::probe::{LayerTable, Probe, PASS_SPAN};
 
-/// End-to-end metrics, reported by every workload with `--trace 0`.
-const END_TO_END: &[(&str, &str)] = &[
-    ("setup_s", "s"),
-    ("peak_rss_mb", "MiB"),
-    ("flow_s", "s"),
-    ("latency_p50_ms", "ms"),
-    ("latency_tail_ms", "ms"),
-    ("goodput_per_s", "1/s"),
-    ("slo_attainment", "ratio"),
-];
+/// The file that names every metric with its unit: `end_to_end`
+/// metrics are reported with `--trace 0`, `per_layer` metrics with
+/// `--trace 1` (0 where the workload leaves the layer idle). Crate
+/// names are the layer names.
+const SPEC_FILE: &str = "BENCHMARK.json";
 
-/// Per-layer metrics, reported by every workload with `--trace 1`
-/// (0 where the workload leaves the layer idle). Crate names are the
-/// layer names.
-const PER_LAYER: &[(&str, &str)] = &[
-    ("ekl.frontend_s", "s"),
-    ("ekl.lower_s", "s"),
-    ("condrust.extract_s", "s"),
-    ("condrust.lower_s", "s"),
-    ("ir.verify_s", "s"),
-    ("ir.ops", "count"),
-    ("analysis.lint_s", "s"),
-    ("analysis.findings", "count"),
-    ("hls.synthesize_s", "s"),
-    ("hls.cycles", "count"),
-    ("olympus.system_s", "s"),
-    ("olympus.fpga_us_total", "us"),
-    ("query.plan_s", "s"),
-    ("query.optimize_s", "s"),
-    ("query.exec_s", "s"),
-    ("query.lower_s", "s"),
-    ("query.rows_scanned", "count"),
-    ("usecases.catalog_s", "s"),
-    ("runtime.schedule_s", "s"),
-    ("runtime.tasks", "count"),
-    ("runtime.recovered_tasks", "count"),
-    ("runtime.migrations", "count"),
-    ("runtime.healed_fraction", "ratio"),
-    ("runtime.clean_makespan_us", "us"),
-    ("runtime.blind_makespan_us", "us"),
-    ("runtime.healed_makespan_us", "us"),
-    ("serve.synthesize_s", "s"),
-    ("serve.engine_s", "s"),
-    ("serve.sim_requests_per_s", "1/s"),
-    ("serve.events", "count"),
-    ("serve.shed_rate_limited", "count"),
-    ("serve.shed_queue_full", "count"),
-    ("serve.shed_overloaded", "count"),
-    ("serve.shed_brownout", "count"),
-    ("serve.shed_partitioned", "count"),
-    ("serve.shed_deadline", "count"),
-    ("serve.batches", "count"),
-    ("serve.mean_batch", "count"),
-    ("autotuner.retunes", "count"),
-    ("serve.retries", "count"),
-    ("serve.hedges", "count"),
-    ("serve.hedge_win_ratio", "ratio"),
-    ("health.breaker_opens", "count"),
-    ("serve.probes", "count"),
-    ("cluster.gossip_rounds", "count"),
-    ("cluster.failovers", "count"),
-    ("cluster.fenced_batches", "count"),
-    ("telemetry.spans", "count"),
-    ("trace.overhead_pct", "%"),
-];
+/// A metric as [`SPEC_FILE`] lists it.
+#[derive(Debug, Deserialize)]
+struct MetricSpec {
+    name: String,
+    unit: String,
+}
 
-/// Per-layer time metrics measured from the traced passes' spans: the
-/// metric is the span name plus `_s`.
-const SPAN_LAYERS: &[&str] = &[
-    "ekl.frontend",
-    "ekl.lower",
-    "condrust.extract",
-    "condrust.lower",
-    "ir.verify",
-    "analysis.lint",
-    "hls.synthesize",
-    "olympus.system",
-    "query.plan",
-    "query.optimize",
-    "query.exec",
-    "query.lower",
-    "runtime.schedule",
-    "serve.engine",
+/// The metric lists of [`SPEC_FILE`].
+#[derive(Debug, Deserialize)]
+struct Spec {
+    end_to_end: Vec<MetricSpec>,
+    per_layer: Vec<MetricSpec>,
+}
+
+impl Spec {
+    fn load() -> Result<Spec, String> {
+        let text = std::fs::read_to_string(SPEC_FILE).map_err(|e| format!("{SPEC_FILE}: {e}"))?;
+        serde_json::from_str(&text).map_err(|e| format!("{SPEC_FILE}: {e}"))
+    }
+
+    fn lists(&self, name: &str) -> bool {
+        self.end_to_end
+            .iter()
+            .chain(&self.per_layer)
+            .any(|m| m.name == name)
+    }
+}
+
+/// Per-layer time metrics measured from the traced passes' spans:
+/// span name and metric name.
+const SPAN_LAYERS: &[(&str, &str)] = &[
+    ("ekl.frontend", "ekl.frontend_s"),
+    ("ekl.lower", "ekl.lower_s"),
+    ("condrust.extract", "condrust.extract_s"),
+    ("condrust.lower", "condrust.lower_s"),
+    ("ir.verify", "ir.verify_s"),
+    ("analysis.lint", "analysis.lint_s"),
+    ("hls.synthesize", "hls.synthesize_s"),
+    ("olympus.system", "olympus.system_s"),
+    ("query.plan", "query.plan_s"),
+    ("query.optimize", "query.optimize_s"),
+    ("query.exec", "query.exec_s"),
+    ("query.lower", "query.lower_s"),
+    ("runtime.schedule", "runtime.schedule_s"),
+    ("serve.engine", "serve.engine_s"),
 ];
 
 /// Passes every run measures at least, whatever `--seconds` says.
 const MIN_PASSES: usize = 4;
+
+/// Pass time, as a multiple of the last set-up's time, after which the
+/// set-up is repeated: about a quarter of the window goes to set-up.
+const SETUP_SPACING: f64 = 3.0;
+
+/// Pass and set-up time, as a multiple of the last pace kernel's time,
+/// after which the kernel runs again: about a tenth of the window goes
+/// to it.
+const PACE_SPACING: f64 = 8.0;
 
 /// Parsed command line.
 #[derive(Debug, Clone)]
@@ -186,7 +166,11 @@ pub struct Pass<T> {
 
 /// What [`Harness::measure`] returns.
 #[derive(Debug)]
-pub struct Measured<T> {
+pub struct Measured<S, T> {
+    /// The first set-up's product, which every pass ran on.
+    pub setup: S,
+    /// The [`fast_median`] of the set-up repetitions' host seconds.
+    pub setup_s: f64,
     /// The untimed warm-up pass.
     pub warmup: T,
     /// The measured passes.
@@ -194,6 +178,36 @@ pub struct Measured<T> {
     /// Peak resident set (MiB) after set-up and the warm-up pass, before
     /// repeated passes let allocator fragmentation drift it.
     pub peak_rss_mib: f64,
+    /// The run's pace: the [`fast_median`] of the [`pace::kernel`] runs
+    /// interleaved with the passes and set-ups.
+    pub pace_s: f64,
+    /// How many times the pace kernel ran.
+    pub pace_runs: usize,
+}
+
+impl<S, T> Measured<S, T> {
+    /// Host seconds `raw`, measured in this run, at the reference pace
+    /// (see [`pace`]).
+    pub fn at_reference_pace(&self, raw: f64) -> f64 {
+        raw * pace::REFERENCE_S / self.pace_s
+    }
+
+    /// The note that reports the pace and the raw values of the
+    /// host-time metrics `raw` (name and value) the run scaled.
+    pub fn pace_note(&self, raw: &[(&str, f64)]) -> String {
+        let raw: Vec<String> = raw
+            .iter()
+            .map(|(name, value)| format!("{name} {value:.6}"))
+            .collect();
+        format!(
+            "pace: {} kernel runs, {:.6} s (reference {} s, scale {:.4}); raw {}",
+            self.pace_runs,
+            self.pace_s,
+            pace::REFERENCE_S,
+            pace::REFERENCE_S / self.pace_s,
+            raw.join(", ")
+        )
+    }
 }
 
 /// The measuring loop shared by every workload.
@@ -213,20 +227,58 @@ impl Harness {
         }
     }
 
-    /// Runs `pass` untimed once (warm-up), then for the
-    /// measuring window and at least [`MIN_PASSES`] times. In a traced
-    /// run every second pass is traced. The SDK's always-on global
-    /// telemetry registry is reset around every pass, so spans do not
-    /// pile up across passes; its per-pass span count is recorded.
-    pub fn measure<T>(&self, mut pass: impl FnMut(&Probe) -> T) -> Measured<T> {
+    /// Runs `setup` once, `pass` on its product untimed once (warm-up),
+    /// then `pass` for the measuring window and at least [`MIN_PASSES`]
+    /// times. In a traced run every second pass is traced.
+    ///
+    /// `setup` runs again, timed, between passes, whenever the passes
+    /// since the last set-up took [`SETUP_SPACING`] times that set-up's
+    /// time; the repeats' products are dropped. Spread over the window,
+    /// the set-up repetitions see the same phases of the host as the
+    /// passes, so `setup_s` takes the passes' estimator.
+    ///
+    /// The SDK's always-on global telemetry registry is reset around
+    /// every pass and set-up, so spans do not pile up across passes; its
+    /// per-pass span count is recorded.
+    ///
+    /// The [`pace::kernel`] runs at the start of the window and again
+    /// whenever the passes and set-ups since its last run took
+    /// [`PACE_SPACING`] times that run's time.
+    pub fn measure<S, T>(
+        &self,
+        mut setup: impl FnMut() -> Result<S, String>,
+        mut pass: impl FnMut(&S, &Probe) -> T,
+    ) -> Result<Measured<S, T>, String> {
+        let mut timed_setup = || {
+            let start = Instant::now();
+            let product = setup()?;
+            Ok::<_, String>((product, start.elapsed().as_secs_f64()))
+        };
         let global = everest_telemetry::global();
+        let (product, first_setup_s) = timed_setup()?;
+        let mut setup_times = vec![first_setup_s];
         global.reset();
-        let warmup = pass(&Probe::off());
+        let warmup = pass(&product, &Probe::off());
         global.reset();
         let peak_rss_mib = stats::peak_rss_mib().unwrap_or(0.0);
         let deadline = Instant::now() + Duration::from_secs_f64(self.args.seconds);
         let mut passes = Vec::new();
+        let mut pace_times = vec![pace::kernel()];
+        let (mut since_setup, mut since_pace) = (0.0, 0.0);
         while passes.len() < MIN_PASSES || Instant::now() < deadline {
+            let last_pace = *pace_times.last().expect("pace kernel ran");
+            if since_pace >= PACE_SPACING * last_pace {
+                pace_times.push(pace::kernel());
+                since_pace = 0.0;
+            }
+            let last_setup = *setup_times.last().expect("set-up ran");
+            if since_setup >= SETUP_SPACING * last_setup {
+                let seconds = timed_setup()?.1;
+                setup_times.push(seconds);
+                global.reset();
+                since_setup = 0.0;
+                since_pace += seconds;
+            }
             let traced = self.args.trace && passes.len() % 2 == 1;
             let probe = if traced {
                 Probe::traced(Arc::clone(&self.registry))
@@ -234,10 +286,12 @@ impl Harness {
                 Probe::off()
             };
             let start = Instant::now();
-            let result = probe.layer(PASS_SPAN, || pass(&probe));
+            let result = probe.layer(PASS_SPAN, || pass(&product, &probe));
             let seconds = start.elapsed().as_secs_f64();
             let sdk_spans = global.spans().len();
             global.reset();
+            since_setup += seconds;
+            since_pace += seconds;
             passes.push(Pass {
                 traced,
                 seconds,
@@ -245,34 +299,53 @@ impl Harness {
                 result,
             });
         }
-        Measured {
+        Ok(Measured {
+            setup: product,
+            setup_s: fast_median(&setup_times),
             warmup,
             passes,
             peak_rss_mib,
-        }
+            pace_s: fast_median(&pace_times),
+            pace_runs: pace_times.len(),
+        })
     }
 }
 
-/// The fastest quarter (at least one) of the passes that were traced
-/// (`traced`) or not. Host-time metrics come from these: wall-clock
-/// noise on a shared host only ever slows a pass down and dwells for
-/// seconds (docs/PERFORMANCE.md), so the fastest passes are the closest
-/// estimate of the code's own cost, and their median is steady across
-/// runs where the median of all passes swings with the host's phases.
-pub fn fastest_quarter<T>(passes: &[Pass<T>], traced: bool) -> Vec<&Pass<T>> {
-    let mut chosen: Vec<&Pass<T>> = passes.iter().filter(|p| p.traced == traced).collect();
-    chosen.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
-    chosen.truncate(chosen.len().div_ceil(4).max(1));
-    chosen
+/// How many of `n` repetitions the host-time estimators keep: the
+/// fastest tenth, and at least three (or all, when fewer). Wall-clock
+/// noise on a shared host only ever slows work down, and dwells for
+/// seconds (docs/PERFORMANCE.md): in a 20 s `compile_deploy` run on a
+/// 2-vCPU VM the same pass took 0.27–0.51 s, in stretches of several
+/// passes. The fastest repetitions are the closest estimate of the
+/// code's own cost, and their median is steadier across runs than the
+/// median of a larger share, which takes in more of the slow stretches.
+fn fast_count(n: usize) -> usize {
+    n.div_ceil(10).max(3).min(n)
 }
 
-/// Median host seconds of the fastest quarter of passes.
+/// The fastest repetitions (see [`fast_count`]) of `seconds`, in
+/// ascending order.
+pub fn fastest(seconds: &[f64]) -> Vec<f64> {
+    let mut sorted = seconds.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted.truncate(fast_count(sorted.len()));
+    sorted
+}
+
+/// The median of [`fastest`]`(seconds)`.
+pub fn fast_median(seconds: &[f64]) -> f64 {
+    stats::median(&fastest(seconds))
+}
+
+/// [`fast_median`] of the host seconds of the passes that were traced
+/// (`traced`) or not.
 pub fn fast_seconds<T>(passes: &[Pass<T>], traced: bool) -> f64 {
-    let seconds: Vec<f64> = fastest_quarter(passes, traced)
+    let seconds: Vec<f64> = passes
         .iter()
+        .filter(|p| p.traced == traced)
         .map(|p| p.seconds)
         .collect();
-    stats::median(&seconds)
+    fast_median(&seconds)
 }
 
 /// `trace.overhead_pct`: traced over untraced pass time (each by
@@ -361,6 +434,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let spec = match Spec::load() {
+        Ok(spec) => spec,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let harness = Harness {
         args: args.clone(),
         registry: Registry::new(),
@@ -381,39 +461,41 @@ fn main() -> ExitCode {
 
     let names = if args.trace {
         let table = LayerTable::from_spans(&harness.registry.spans());
-        for layer in SPAN_LAYERS {
-            let name = PER_LAYER
-                .iter()
-                .map(|(n, _)| *n)
-                .find(|n| n.strip_suffix("_s") == Some(*layer))
-                .expect("every span layer has a per-layer metric");
-            outcome.metrics.insert(name, table.median_s(layer));
+        for (layer, metric) in SPAN_LAYERS {
+            outcome.metrics.insert(metric, table.median_s(layer));
         }
         eprint!("{}", table.render());
         if let Err(e) = write_trace(&args, &harness.registry, &table) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-        PER_LAYER
+        &spec.per_layer
     } else {
-        END_TO_END
+        &spec.end_to_end
     };
+    if let Some(unlisted) = outcome.metrics.keys().find(|name| !spec.lists(name)) {
+        eprintln!("error: metric {unlisted:?} is not listed in {SPEC_FILE}");
+        return ExitCode::FAILURE;
+    }
     let rows: Vec<(&str, &str, f64)> = names
         .iter()
-        .map(|&(name, unit)| {
-            (
-                name,
-                unit,
-                outcome.metrics.get(name).copied().unwrap_or(0.0),
-            )
+        .map(|m| {
+            let value = outcome.metrics.get(m.name.as_str()).copied();
+            (m.name.as_str(), m.unit.as_str(), value.unwrap_or(0.0))
         })
         .collect();
-    let unknown: Vec<&&str> = outcome
-        .metrics
-        .keys()
-        .filter(|k| !END_TO_END.iter().chain(PER_LAYER).any(|(n, _)| n == *k))
-        .collect();
-    assert!(unknown.is_empty(), "unlisted metrics {unknown:?}");
+    if !args.trace {
+        let missing: Vec<&str> = names
+            .iter()
+            .map(|m| m.name.as_str())
+            .filter(|name| !outcome.metrics.contains_key(name))
+            .collect();
+        outcome.checks.push(Check::new(
+            "every end-to-end metric measured",
+            missing.is_empty(),
+            missing.join(", "),
+        ));
+    }
     let finite = rows.iter().all(|(_, _, value)| value.is_finite());
     outcome.checks.push(Check::new(
         "metrics are finite",

@@ -11,9 +11,10 @@
 //!   hedge legs, fencing and gossip dominate.
 //!
 //! Set-up derives the campaign's inputs from the seed: the engine
-//! configuration, the fault plan and the arrival trace. The engine
-//! re-synthesizes the same trace internally from the configuration's
-//! seed; the harness's copy checks how many requests were offered.
+//! configuration (from the SDK's `run_serve`), the fault plan and the
+//! arrival trace. The engine re-synthesizes the same trace internally
+//! from the configuration's seed; the harness's copy checks how many
+//! requests were offered.
 //! An operation is one offered request; a campaign that breaks
 //! conservation or replays differently fails all of its requests.
 
@@ -21,12 +22,9 @@ use std::time::Instant;
 
 use everest_runtime::{FaultKind, FaultPlan, FaultSpec};
 use everest_sdk::{run_serve, ServeOptions};
-use everest_serve::{
-    ArrivalTrace, BrownoutConfig, ClusterConfig, HedgeConfig, LifecycleConfig, LimiterConfig,
-    RetryConfig, ServeConfig, ServeEngine, ServeOutcome, TenantSpec,
-};
+use everest_serve::{ArrivalTrace, ServeConfig, ServeEngine, ServeOutcome};
 
-use crate::stats::{count_above, median};
+use crate::stats::count_above;
 use crate::{Check, Harness, Outcome};
 
 /// Virtual horizon of one saturation campaign: long enough that fixed
@@ -45,8 +43,6 @@ const CHAOS_WINDOW_US: f64 = 200_000.0;
 const CHAOS_FAULTS_PER_WINDOW: usize = 4;
 /// Windows between partition/heal cycles.
 const PARTITION_EVERY: usize = 5;
-/// Set-up repetitions; `setup_s` is their median.
-const SETUP_REPS: usize = 5;
 /// The committed E16 campaign (`BENCH_e16.json`) the anchor check
 /// replays.
 const E16_RECORD: &str = "BENCH_e16.json";
@@ -86,47 +82,16 @@ impl Workload {
     }
 }
 
-/// The engine configuration a set of options implies, derived exactly
-/// as `everest_sdk::run_serve` derives it (the anchor check compares
-/// the two): tenants cycle gold 4× / silver 2× / bronze 1×, admission
-/// budgets sum to 1.4× nominal capacity, load is a multiple of
-/// 2 500 rps per node.
-fn build_config(options: &ServeOptions) -> ServeConfig {
-    let nodes = options.nodes.max(1);
-    let tiers: [(&str, f64); 3] = [("gold", 4.0), ("silver", 2.0), ("bronze", 1.0)];
-    let count = options.tenants.max(1);
-    let total_weight: f64 = (0..count).map(|i| tiers[i % 3].1).sum();
-    let admit_cap_rps = 3_500.0 * nodes as f64;
-    let tenants = (0..count)
-        .map(|i| {
-            let (tier, weight) = tiers[i % 3];
-            let name = if i < 3 {
-                tier.to_string()
-            } else {
-                format!("{tier}{}", i / 3 + 1)
-            };
-            let rate_rps = admit_cap_rps * weight / total_weight;
-            TenantSpec::new(&name, weight, rate_rps, (rate_rps * 0.008).max(4.0))
-        })
-        .collect();
-    let mut config = ServeConfig {
-        seed: options.seed,
-        nodes,
-        tenants,
-        offered_rps: 2_500.0 * nodes as f64 * options.load.max(0.0),
-        horizon_us: options.horizon_ms.max(1.0) * 1_000.0,
-        lifecycle: LifecycleConfig {
-            retry: options.retries.then(RetryConfig::default),
-            hedge: options.hedge.then(HedgeConfig::default),
-            limiter: options.limiter.then(LimiterConfig::default),
-            brownout: options.brownout.then(BrownoutConfig::default),
-        },
-        cluster: (options.partition > 0).then(ClusterConfig::default),
-        ..ServeConfig::default()
-    };
-    if options.hedge {
-        config.classes[0] = config.classes[0].clone().latency_critical();
-    }
+/// The engine configuration a set of options implies, taken from the
+/// SDK: `run_serve` derives it and runs a 1 ms campaign with it, and
+/// the horizon is then widened to the workload's.
+fn sdk_config(options: &ServeOptions) -> ServeConfig {
+    let mut config = run_serve(&ServeOptions {
+        horizon_ms: 1.0,
+        ..*options
+    })
+    .config;
+    config.horizon_us = options.horizon_ms * 1_000.0;
     config
 }
 
@@ -179,7 +144,7 @@ struct Campaign {
 /// `ArrivalTrace::synthesize` took alone.
 fn setup(workload: Workload, seed: u64) -> (Campaign, f64) {
     let options = workload.options(seed);
-    let config = build_config(&options);
+    let config = sdk_config(&options);
     let plan = match workload {
         Workload::Saturation => FaultPlan::new(seed),
         Workload::Chaos => chaos_plan(seed, config.nodes, config.horizon_us),
@@ -223,34 +188,24 @@ fn e16_virtual_block(o: &ServeOutcome) -> String {
 }
 
 /// Anchor: at the committed E16 shape the SDK's `run_serve` reproduces
-/// the record's `virtual` block byte for byte, and this harness derives
-/// the same engine configuration as the SDK.
-fn anchor_checks() -> Vec<Check> {
-    let options = ServeOptions {
+/// the record's `virtual` block byte for byte.
+fn anchor_check() -> Check {
+    let report = run_serve(&ServeOptions {
         load: 4.0,
         ..ServeOptions::default()
-    };
-    let report = run_serve(&options);
+    });
     let block = e16_virtual_block(&report.outcome);
     let recorded = std::fs::read_to_string(E16_RECORD);
     let anchored = recorded.as_ref().is_ok_and(|text| text.contains(&block));
-    let same_config = format!("{:?}", build_config(&options)) == format!("{:?}", report.config);
-    vec![
-        Check::new(
-            "E16 anchor reproduces BENCH_e16.json virtual block",
-            anchored,
-            match recorded {
-                Ok(_) if anchored => String::new(),
-                Ok(_) => format!("got {block}"),
-                Err(e) => format!("{E16_RECORD}: {e}"),
-            },
-        ),
-        Check::new(
-            "harness config = run_serve config at the E16 shape",
-            same_config,
-            "",
-        ),
-    ]
+    Check::new(
+        "E16 anchor reproduces BENCH_e16.json virtual block",
+        anchored,
+        match recorded {
+            Ok(_) if anchored => String::new(),
+            Ok(_) => format!("got {block}"),
+            Err(e) => format!("{E16_RECORD}: {e}"),
+        },
+    )
 }
 
 /// Per-pass summary: whether the outcome replayed the warm-up's.
@@ -262,38 +217,34 @@ struct PassResult {
 /// Runs a serving workload.
 pub fn run(harness: &Harness, workload: Workload, seed: u64) -> Result<Outcome, String> {
     let probe = harness.setup_probe();
-    let mut setup_s = Vec::with_capacity(SETUP_REPS);
-    let mut synth_s = Vec::with_capacity(SETUP_REPS);
-    let mut campaign = None;
-    for _ in 0..SETUP_REPS {
-        let start = Instant::now();
-        let (built, synth) = probe.layer("serve.setup", || setup(workload, seed));
-        setup_s.push(start.elapsed().as_secs_f64());
-        synth_s.push(synth);
-        campaign = Some(built);
-    }
-    let campaign = campaign.expect("at least one set-up repetition");
-
-    let engine = || {
-        ServeEngine::new(campaign.config.clone())
-            .with_plan(campaign.plan.clone())
-            .with_registry(everest_telemetry::global())
-    };
+    let mut synth_s = Vec::new();
     let mut reference: Option<ServeOutcome> = None;
-    let measured = harness.measure(|probe| {
-        let outcome = probe.layer("serve.engine", || engine().run());
-        match &reference {
-            Some(first) => PassResult {
-                replayed: *first == outcome,
-            },
-            None => {
-                reference = Some(outcome);
-                PassResult { replayed: true }
+    let measured = harness.measure(
+        || {
+            let (built, synth) = probe.layer("serve.setup", || setup(workload, seed));
+            synth_s.push(synth);
+            Ok(built)
+        },
+        |campaign, probe| {
+            let outcome = probe.layer("serve.engine", || {
+                ServeEngine::new(campaign.config.clone())
+                    .with_plan(campaign.plan.clone())
+                    .with_registry(everest_telemetry::global())
+                    .run()
+            });
+            match &reference {
+                Some(first) => PassResult {
+                    replayed: *first == outcome,
+                },
+                None => {
+                    reference = Some(outcome);
+                    PassResult { replayed: true }
+                }
             }
-        }
-    });
+        },
+    )?;
     let o = reference.expect("the warm-up pass ran");
-    let passes = &measured.passes;
+    let (campaign, passes) = (&measured.setup, &measured.passes);
 
     let mut outcome = Outcome::default();
     let campaigns = passes.len() as u64 + 1;
@@ -318,7 +269,7 @@ pub fn run(harness: &Harness, workload: Workload, seed: u64) -> Result<Outcome, 
         replays == passes.len() as u64,
         format!("{replays}/{} repeats", passes.len()),
     ));
-    outcome.checks.extend(anchor_checks());
+    outcome.checks.push(anchor_check());
     let spans_steady = passes.iter().all(|p| p.sdk_spans == passes[0].sdk_spans);
     outcome.checks.push(Check::new(
         "telemetry reset keeps per-pass span count steady",
@@ -336,7 +287,7 @@ pub fn run(harness: &Harness, workload: Workload, seed: u64) -> Result<Outcome, 
     let engine_s = crate::fast_seconds(passes, false);
     let events = o.offered + 2 * o.batches.len() as u64;
     outcome.notes.push(format!(
-        "campaign: {} offered, {} completed, {} simulated events, {} passes, {:.0} events/s in the fastest quarter",
+        "campaign: {} offered, {} completed, {} simulated events, {} passes, {:.0} events/s in the fastest",
         o.offered,
         o.completed,
         events,
@@ -344,10 +295,16 @@ pub fn run(harness: &Harness, workload: Workload, seed: u64) -> Result<Outcome, 
         events as f64 / engine_s
     ));
 
+    outcome
+        .notes
+        .push(format!("set-up: {} repetitions", synth_s.len()));
+    outcome
+        .notes
+        .push(measured.pace_note(&[("setup_s", measured.setup_s), ("flow_s", engine_s)]));
     let m = &mut outcome.metrics;
-    m.insert("setup_s", median(&setup_s));
+    m.insert("setup_s", measured.at_reference_pace(measured.setup_s));
     m.insert("peak_rss_mb", measured.peak_rss_mib);
-    m.insert("flow_s", engine_s);
+    m.insert("flow_s", measured.at_reference_pace(engine_s));
     m.insert(
         "latency_p50_ms",
         o.latency_quantile(0.5).unwrap_or(0.0) / 1e3,
@@ -359,7 +316,7 @@ pub fn run(harness: &Harness, workload: Workload, seed: u64) -> Result<Outcome, 
         o.completed.saturating_sub(o.slo_violations) as f64 / o.offered.max(1) as f64,
     );
 
-    m.insert("serve.synthesize_s", median(&synth_s));
+    m.insert("serve.synthesize_s", crate::fast_median(&synth_s));
     m.insert("serve.sim_requests_per_s", o.offered as f64 / engine_s);
     m.insert("serve.events", events as f64);
     m.insert("serve.shed_rate_limited", o.shed_rate_limited as f64);
