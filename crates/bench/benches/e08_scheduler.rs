@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use everest_bench::{banner, rule};
-use everest_runtime::{Cluster, Failure, Policy, Scheduler, TaskGraph, TaskSpec};
+use everest_runtime::{Cluster, FaultPlan, Policy, RecoveryConfig, Scheduler, TaskGraph, TaskSpec};
 
 /// A 200-task ensemble-like workflow: 20 chains of 10 tasks with mixed
 /// durations, cross-links and data volumes.
@@ -79,13 +79,8 @@ fn print_series() {
         .map(|(n, _)| n)
         .expect("nodes exist");
     for frac in [0.25, 0.5, 0.75] {
-        let failed = scheduler.run_with_failure(
-            &graph,
-            Some(Failure {
-                node: busiest,
-                at_us: clean.makespan_us * frac,
-            }),
-        );
+        let crash = FaultPlan::single_node_crash(0, busiest, clean.makespan_us * frac);
+        let failed = scheduler.run_with_plan(&graph, &crash, &RecoveryConfig::default());
         println!(
             "  node {busiest} dies at {:>3.0}% of makespan: {:>7.1} ms (+{:>4.1}%), {} tasks recovered",
             frac * 100.0,
@@ -108,15 +103,8 @@ fn bench(c: &mut Criterion) {
     group.bench_function("recovery_200_tasks", |b| {
         let scheduler = Scheduler::new(Cluster::everest(7, 1, 4), Policy::Heft);
         let clean = scheduler.run(&graph);
-        b.iter(|| {
-            scheduler.run_with_failure(
-                &graph,
-                Some(Failure {
-                    node: 0,
-                    at_us: clean.makespan_us * 0.5,
-                }),
-            )
-        })
+        let crash = FaultPlan::single_node_crash(0, 0, clean.makespan_us * 0.5);
+        b.iter(|| scheduler.run_with_plan(&graph, &crash, &RecoveryConfig::default()))
     });
     group.finish();
 }

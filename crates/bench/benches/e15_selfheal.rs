@@ -70,7 +70,11 @@ fn print_series() {
             28,
             "every task must still complete"
         );
-        assert!(report.resume_matched, "checkpoint resume diverged");
+        assert_eq!(
+            report.resume_matched,
+            Some(true),
+            "checkpoint resume diverged"
+        );
     }
 
     // Campaigns whose gray damage lands on the critical path: healing

@@ -20,6 +20,7 @@
 //! `docs/OBSERVABILITY.md`.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use everest_sdk::basecamp::{Basecamp, CompileOptions, Target};
 use everest_sdk::chaos::ChaosOptions;
@@ -142,11 +143,34 @@ enum Flavor {
     Cfdlang,
 }
 
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Prints `error: <message>` and returns the failure exit code.
+fn fail(message: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {message}");
+    ExitCode::FAILURE
+}
+
+/// The value following `flag`, or `None` when the flag is absent. A
+/// flag that takes a value but comes last is an error, not a silent
+/// default.
+fn parse_flag(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(value) => Ok(Some(value.clone())),
+            None => Err(format!("{flag} wants a value")),
+        },
+    }
+}
+
+/// Parses the numeric value of `flag` into `slot`; an absent flag
+/// keeps the default already there.
+fn parse_num<T: FromStr>(args: &[String], flag: &str, slot: &mut T) -> Result<(), String> {
+    if let Some(v) = parse_flag(args, flag)? {
+        *slot = v
+            .parse()
+            .map_err(|_| format!("{flag} wants a number, got {v:?}"))?;
+    }
+    Ok(())
 }
 
 /// Writes `content` followed by a newline to `path`, or to stdout when
@@ -167,16 +191,25 @@ fn write_output(path: Option<&str>, content: &str) -> Result<(), String> {
 /// Honors `--trace <path>`: exports the global telemetry registry as
 /// Chrome trace JSON. Returns `false` when the write failed.
 fn write_trace_if_requested(args: &[String]) -> bool {
-    let Some(path) = parse_flag(args, "--trace") else {
-        return true;
-    };
-    let trace = everest_telemetry::global().to_chrome_trace();
-    match write_output(Some(&path), &trace) {
+    let written = parse_flag(args, "--trace").and_then(|path| match path {
+        Some(path) => write_output(Some(&path), &everest_telemetry::global().to_chrome_trace()),
+        None => Ok(()),
+    });
+    match written {
         Ok(()) => true,
         Err(e) => {
             eprintln!("error: {e}");
             false
         }
+    }
+}
+
+/// Writes a seeded campaign's byte-stable replay trace to `path`, if
+/// `--trace` asked for one.
+fn write_replay(path: Option<String>, trace: &str) -> ExitCode {
+    match path.map_or(Ok(()), |p| write_output(Some(&p), trace)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => fail(e),
     }
 }
 
@@ -191,7 +224,13 @@ fn compile(args: &[String], flavor: Flavor) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let target_name = parse_flag(args, "--target").unwrap_or_else(|| "alveo_u55c".into());
+    let (target_name, name) = match (parse_flag(args, "--target"), parse_flag(args, "--name")) {
+        (Ok(target), Ok(name)) => (
+            target.unwrap_or_else(|| "alveo_u55c".into()),
+            name.unwrap_or_else(|| "kernel".into()),
+        ),
+        (Err(e), _) | (_, Err(e)) => return fail(e),
+    };
     let target = match Target::parse(&target_name) {
         Ok(t) => t,
         Err(e) => {
@@ -207,10 +246,7 @@ fn compile(args: &[String], flavor: Flavor) -> ExitCode {
     let basecamp = Basecamp::new();
     let result = match flavor {
         Flavor::Ekl => basecamp.compile_kernel(&source, options),
-        Flavor::Cfdlang => {
-            let name = parse_flag(args, "--name").unwrap_or_else(|| "kernel".into());
-            basecamp.compile_cfdlang(&source, &name, options)
-        }
+        Flavor::Cfdlang => basecamp.compile_cfdlang(&source, &name, options),
     };
     let compiled = match result {
         Ok(k) => k,
@@ -333,102 +369,58 @@ fn analyze(args: &[String]) -> ExitCode {
 /// trace (virtual times only) rather than the wall-clock Chrome
 /// timeline, so two runs with the same options are diffable.
 fn chaos(args: &[String]) -> ExitCode {
-    let mut options = ChaosOptions::default();
-    let parse_usize = |flag: &str, default: usize| -> Result<usize, String> {
-        match parse_flag(args, flag) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("{flag} wants a number, got {v:?}")),
-        }
+    let (options, trace) = match chaos_args(args) {
+        Ok(parsed) => parsed,
+        Err(e) => return fail(e),
     };
-    options.seed = match parse_flag(args, "--seed") {
-        None => options.seed,
-        Some(v) => match v.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("error: --seed wants a number, got {v:?}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    for (flag, slot) in [
-        ("--nodes", &mut options.nodes as &mut usize),
-        ("--tasks", &mut options.tasks),
-        ("--faults", &mut options.faults),
-    ] {
-        match parse_usize(flag, *slot) {
-            Ok(v) => *slot = v,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if options.nodes == 0 || options.tasks == 0 {
-        eprintln!("error: --nodes and --tasks must be at least 1");
-        return ExitCode::FAILURE;
-    }
     let report = everest_sdk::chaos::run_chaos(&options);
     println!("{}", report.summary());
-    if let Some(path) = parse_flag(args, "--trace") {
-        if let Err(e) = write_output(Some(&path), &report.trace_json()) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    write_replay(trace, &report.trace_json())
+}
+
+/// `basecamp chaos` options and replay-trace path.
+fn chaos_args(args: &[String]) -> Result<(ChaosOptions, Option<String>), String> {
+    let mut options = ChaosOptions::default();
+    parse_num(args, "--seed", &mut options.seed)?;
+    parse_num(args, "--nodes", &mut options.nodes)?;
+    parse_num(args, "--tasks", &mut options.tasks)?;
+    parse_num(args, "--faults", &mut options.faults)?;
+    if options.nodes == 0 || options.tasks == 0 {
+        return Err("--nodes and --tasks must be at least 1".into());
     }
-    ExitCode::SUCCESS
+    Ok((options, parse_flag(args, "--trace")?))
 }
 
 /// `basecamp heal`: a seeded gray-failure campaign with and without
 /// the closed healing loop. As with `chaos`, `--trace` exports the
 /// byte-stable replay trace rather than the Chrome timeline. Exits
-/// non-zero when the in-process checkpoint-resume check diverges.
+/// non-zero when the in-process checkpoint-resume check diverges (a
+/// campaign too short to take a checkpoint has nothing to check).
 fn heal(args: &[String]) -> ExitCode {
-    let mut options = HealOptions::default();
-    options.seed = match parse_flag(args, "--seed") {
-        None => options.seed,
-        Some(v) => match v.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("error: --seed wants a number, got {v:?}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let (options, trace) = match heal_args(args) {
+        Ok(parsed) => parsed,
+        Err(e) => return fail(e),
     };
-    for (flag, slot) in [
-        ("--nodes", &mut options.nodes as &mut usize),
-        ("--tasks", &mut options.tasks),
-        ("--gray", &mut options.gray_faults),
-    ] {
-        match parse_flag(args, flag) {
-            None => {}
-            Some(v) => match v.parse() {
-                Ok(n) => *slot = n,
-                Err(_) => {
-                    eprintln!("error: {flag} wants a number, got {v:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        }
-    }
-    if options.nodes == 0 || options.tasks == 0 {
-        eprintln!("error: --nodes and --tasks must be at least 1");
-        return ExitCode::FAILURE;
-    }
     let report = everest_sdk::heal::run_heal(&options);
     println!("{}", report.summary());
-    if let Some(path) = parse_flag(args, "--trace") {
-        if let Err(e) = write_output(Some(&path), &report.trace_json()) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let written = write_replay(trace, &report.trace_json());
+    if report.resume_matched == Some(false) {
+        return ExitCode::FAILURE;
     }
-    if report.resume_matched {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    written
+}
+
+/// `basecamp heal` options and replay-trace path.
+fn heal_args(args: &[String]) -> Result<(HealOptions, Option<String>), String> {
+    let mut options = HealOptions::default();
+    parse_num(args, "--seed", &mut options.seed)?;
+    parse_num(args, "--nodes", &mut options.nodes)?;
+    parse_num(args, "--tasks", &mut options.tasks)?;
+    parse_num(args, "--gray", &mut options.gray_faults)?;
+    if options.nodes == 0 || options.tasks == 0 {
+        return Err("--nodes and --tasks must be at least 1".into());
     }
+    Ok((options, parse_flag(args, "--trace")?))
 }
 
 /// `basecamp serve`: a seeded multi-tenant serving campaign. As with
@@ -436,107 +428,60 @@ fn heal(args: &[String]) -> ExitCode {
 /// rather than the Chrome timeline. Exits non-zero when request
 /// conservation is violated (a request lost or double-counted).
 fn serve(args: &[String]) -> ExitCode {
-    let mut options = ServeOptions::default();
-    options.seed = match parse_flag(args, "--seed") {
-        None => options.seed,
-        Some(v) => match v.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("error: --seed wants a number, got {v:?}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let (options, trace) = match serve_args(args) {
+        Ok(parsed) => parsed,
+        Err(e) => return fail(e),
     };
-    for (flag, slot) in [
-        ("--nodes", &mut options.nodes as &mut usize),
-        ("--tenants", &mut options.tenants),
-        ("--chaos", &mut options.chaos),
-        ("--partition-plan", &mut options.partition),
-    ] {
-        match parse_flag(args, flag) {
-            None => {}
-            Some(v) => match v.parse() {
-                Ok(n) => *slot = n,
-                Err(_) => {
-                    eprintln!("error: {flag} wants a number, got {v:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        }
+    let report = everest_sdk::serve::run_serve(&options);
+    println!("{}", report.summary());
+    let written = write_replay(trace, &report.trace_json());
+    if !report.outcome.conserved() {
+        return fail("request conservation violated");
     }
+    written
+}
+
+/// `basecamp serve` options and replay-trace path.
+fn serve_args(args: &[String]) -> Result<(ServeOptions, Option<String>), String> {
+    let mut options = ServeOptions::default();
+    parse_num(args, "--seed", &mut options.seed)?;
+    parse_num(args, "--nodes", &mut options.nodes)?;
+    parse_num(args, "--tenants", &mut options.tenants)?;
+    parse_num(args, "--chaos", &mut options.chaos)?;
+    parse_num(args, "--partition-plan", &mut options.partition)?;
+    parse_num(args, "--load", &mut options.load)?;
+    parse_num(args, "--horizon-ms", &mut options.horizon_ms)?;
     for (flag, slot) in [
-        ("--load", &mut options.load as &mut f64),
-        ("--horizon-ms", &mut options.horizon_ms),
-    ] {
-        match parse_flag(args, flag) {
-            None => {}
-            Some(v) => match v.parse() {
-                Ok(x) => *slot = x,
-                Err(_) => {
-                    eprintln!("error: {flag} wants a number, got {v:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        }
-    }
-    for (flag, slot) in [
-        ("--retries", &mut options.retries as &mut bool),
+        ("--retries", &mut options.retries),
         ("--hedge", &mut options.hedge),
         ("--limiter", &mut options.limiter),
         ("--brownout", &mut options.brownout),
     ] {
-        if args.iter().any(|a| a == flag) {
-            *slot = true;
-        }
+        *slot |= args.iter().any(|a| a == flag);
     }
     if options.nodes == 0 || options.tenants == 0 {
-        eprintln!("error: --nodes and --tenants must be at least 1");
-        return ExitCode::FAILURE;
+        return Err("--nodes and --tenants must be at least 1".into());
     }
-    if !(options.load > 0.0 && options.load.is_finite()) {
-        eprintln!("error: --load must be a positive number");
-        return ExitCode::FAILURE;
-    }
-    let report = everest_sdk::serve::run_serve(&options);
-    println!("{}", report.summary());
-    if let Some(path) = parse_flag(args, "--trace") {
-        if let Err(e) = write_output(Some(&path), &report.trace_json()) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+    for (flag, value) in [
+        ("--load", options.load),
+        ("--horizon-ms", options.horizon_ms),
+    ] {
+        if !(value > 0.0 && value.is_finite()) {
+            return Err(format!("{flag} must be a positive number"));
         }
     }
-    if report.outcome.conserved() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("error: request conservation violated");
-        ExitCode::FAILURE
-    }
+    Ok((options, parse_flag(args, "--trace")?))
 }
 
 fn query(args: &[String]) -> ExitCode {
-    let Some(sql) = parse_flag(args, "--sql") else {
-        eprintln!("error: query wants --sql <text>");
-        return usage();
-    };
-    let mut options = QueryOptions {
-        sql,
-        ..QueryOptions::default()
-    };
-    if let Some(v) = parse_flag(args, "--seed") {
-        match v.parse() {
-            Ok(s) => options.seed = s,
-            Err(_) => {
-                eprintln!("error: --seed wants a number, got {v:?}");
-                return ExitCode::FAILURE;
-            }
+    let options = match query_options(args) {
+        Ok(Some(options)) => options,
+        Ok(None) => {
+            eprintln!("error: query wants --sql <text>");
+            return usage();
         }
-    }
-    if let Some(dataset) = parse_flag(args, "--dataset") {
-        options.dataset = dataset;
-    }
-    if args.iter().any(|a| a == "--no-optimize") {
-        options.optimize = false;
-    }
+        Err(e) => return fail(e),
+    };
     let report = match everest_sdk::query::run_query(&options) {
         Ok(r) => r,
         Err(e) => {
@@ -565,6 +510,23 @@ fn query(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// `basecamp query` options, or `None` without `--sql`.
+fn query_options(args: &[String]) -> Result<Option<QueryOptions>, String> {
+    let Some(sql) = parse_flag(args, "--sql")? else {
+        return Ok(None);
+    };
+    let mut options = QueryOptions {
+        sql,
+        ..QueryOptions::default()
+    };
+    parse_num(args, "--seed", &mut options.seed)?;
+    if let Some(dataset) = parse_flag(args, "--dataset")? {
+        options.dataset = dataset;
+    }
+    options.optimize = !args.iter().any(|a| a == "--no-optimize");
+    Ok(Some(options))
 }
 
 fn coordinate(args: &[String]) -> ExitCode {
@@ -597,5 +559,69 @@ fn coordinate(args: &[String]) -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn parse_num_keeps_the_default_when_the_flag_is_absent() {
+        let mut seed = 42_u64;
+        parse_num(&argv("--nodes 3"), "--seed", &mut seed).expect("absent is fine");
+        assert_eq!(seed, 42);
+        parse_num(&argv("--seed 7 --nodes 3"), "--seed", &mut seed).expect("parses");
+        assert_eq!(seed, 7);
+    }
+
+    #[test]
+    fn a_value_flag_without_its_value_is_an_error() {
+        let mut seed = 42_u64;
+        assert_eq!(
+            parse_num(&argv("--nodes 3 --seed"), "--seed", &mut seed),
+            Err("--seed wants a value".to_string())
+        );
+        assert_eq!(seed, 42);
+        assert!(serve_args(&argv("--seed 1 --trace")).is_err());
+        assert!(chaos_args(&argv("--seed")).is_err());
+        assert!(heal_args(&argv("--gray")).is_err());
+        assert!(query_options(&argv("--sql")).is_err());
+    }
+
+    #[test]
+    fn non_numeric_values_are_rejected() {
+        let err = chaos_args(&argv("--tasks many")).expect_err("not a number");
+        assert_eq!(err, "--tasks wants a number, got \"many\"");
+        assert!(serve_args(&argv("--load fast")).is_err());
+    }
+
+    #[test]
+    fn serve_rejects_non_positive_or_non_finite_horizons_and_loads() {
+        for bad in ["inf", "nan", "-1", "0"] {
+            let err = serve_args(&argv(&format!("--horizon-ms {bad}"))).expect_err(bad);
+            assert_eq!(err, "--horizon-ms must be a positive number");
+            assert!(serve_args(&argv(&format!("--load {bad}"))).is_err());
+        }
+        let (options, trace) =
+            serve_args(&argv("--horizon-ms 5 --load 2.5 --hedge --trace t.json"))
+                .expect("valid flags");
+        assert_eq!((options.horizon_ms, options.load), (5.0, 2.5));
+        assert!(options.hedge && !options.retries);
+        assert_eq!(trace.as_deref(), Some("t.json"));
+    }
+
+    #[test]
+    fn campaigns_need_at_least_one_node_and_task() {
+        assert!(chaos_args(&argv("--nodes 0")).is_err());
+        assert!(heal_args(&argv("--tasks 0")).is_err());
+        assert!(serve_args(&argv("--tenants 0")).is_err());
+        let (options, trace) = heal_args(&argv("--nodes 1 --tasks 1")).expect("valid flags");
+        assert_eq!((options.nodes, options.tasks), (1, 1));
+        assert_eq!(trace, None);
     }
 }

@@ -68,8 +68,9 @@ pub struct HealReport {
     /// checkpoints.
     pub healed: HealedOutcome,
     /// Whether resuming from the last checkpoint reproduced the
-    /// uninterrupted healed run exactly (verified in-process).
-    pub resume_matched: bool,
+    /// uninterrupted healed run exactly (verified in-process); `None`
+    /// when the campaign finished before its first checkpoint.
+    pub resume_matched: Option<bool>,
 }
 
 /// Field-by-field equality for two simulation results (the struct
@@ -131,17 +132,16 @@ pub fn run_heal(options: &HealOptions) -> HealReport {
 
     let unhealed = scheduler.run_with_plan(&graph, &plan, &config);
     let healed = scheduler.run_self_healing(&graph, &plan, &config, &policy);
-    let resume_matched = match healed.checkpoints.last() {
-        Some(last) => {
-            let resumed = scheduler.resume_self_healing(&graph, &plan, &config, &policy, last);
-            results_match(&resumed, &healed.result)
-        }
-        None => false,
-    };
+    let resume_matched = healed.checkpoints.last().map(|last| {
+        let resumed = scheduler.resume_self_healing(&graph, &plan, &config, &policy, last);
+        results_match(&resumed, &healed.result)
+    });
     span.arg("verdicts", healed.result.heal.verdicts.len())
         .arg("migrations", healed.result.heal.migrations)
-        .arg("resume_matched", resume_matched)
         .record_sim_us(healed.result.makespan_us);
+    if let Some(matched) = resume_matched {
+        span.arg("resume_matched", matched);
+    }
     HealReport {
         options: *options,
         plan,
@@ -205,10 +205,10 @@ impl HealReport {
         ));
         out.push_str(&format!(
             "resume check      : {}",
-            if self.resume_matched {
-                "last checkpoint resumed byte-identically"
-            } else {
-                "FAILED — resumed run diverged"
+            match self.resume_matched {
+                Some(true) => "last checkpoint resumed byte-identically",
+                Some(false) => "FAILED — resumed run diverged",
+                None => "no checkpoint taken",
             }
         ));
         out
@@ -283,7 +283,10 @@ impl HealReport {
             "  \"checkpoints\": {},\n",
             self.healed.checkpoints.len()
         ));
-        out.push_str(&format!("  \"resume_matched\": {}\n", self.resume_matched));
+        let resume_matched = self
+            .resume_matched
+            .map_or_else(|| "null".to_string(), |m| m.to_string());
+        out.push_str(&format!("  \"resume_matched\": {resume_matched}\n"));
         out.push('}');
         out
     }
@@ -336,8 +339,32 @@ mod tests {
             assert!(h.breaker_opens >= 1, "seed {seed}");
             assert!(h.migrations >= 1, "seed {seed}");
             assert!(!report.healed.checkpoints.is_empty(), "seed {seed}");
-            assert!(report.resume_matched, "seed {seed}: resume must match");
+            assert_eq!(
+                report.resume_matched,
+                Some(true),
+                "seed {seed}: resume must match"
+            );
         }
+    }
+
+    #[test]
+    fn a_campaign_without_checkpoints_reports_no_resume_check() {
+        let report = run_heal(&HealOptions {
+            nodes: 1,
+            tasks: 1,
+            ..HealOptions::default()
+        });
+        assert!(report.healed.checkpoints.is_empty());
+        assert_eq!(report.resume_matched, None);
+        assert!(report
+            .summary()
+            .ends_with("resume check      : no checkpoint taken"));
+        let parsed: serde::Value =
+            serde_json::from_str(&report.trace_json()).expect("trace must be well-formed JSON");
+        assert!(matches!(
+            parsed.get("resume_matched"),
+            Some(serde::Value::Null)
+        ));
     }
 
     #[test]

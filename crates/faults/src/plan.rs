@@ -297,8 +297,10 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Convenience: the single pre-planned node death the runtime's
-    /// legacy `run_with_failure` API modelled.
+    /// Convenience: a plan holding one node death, `node` crashing at
+    /// `at_us` — the single-failure scenario of lineage-based recovery
+    /// (`Scheduler::run_with_plan` recomputes the outputs stranded on
+    /// the dead node).
     pub fn single_node_crash(seed: u64, node: usize, at_us: f64) -> FaultPlan {
         FaultPlan::new(seed).with_fault(FaultSpec::new(at_us, node, FaultKind::NodeCrash))
     }
@@ -307,16 +309,17 @@ impl FaultPlan {
     /// uniformly over `[0, horizon_us)` against `nodes` nodes, mixing
     /// every fault kind. Entirely determined by `seed`.
     ///
-    /// At most one `NodeCrash` is drawn per campaign so that plans stay
-    /// survivable on small clusters; the remaining draws are spread
-    /// over the recoverable kinds.
+    /// At most one `NodeCrash` is drawn per campaign, and none on a
+    /// single-node cluster, so that plans stay survivable; the
+    /// remaining draws are spread over the recoverable kinds.
     pub fn random_campaign(seed: u64, nodes: usize, horizon_us: f64, count: usize) -> FaultPlan {
         let mut rng = DetRng::new(seed).fork(0xCA05);
         let mut plan = FaultPlan::new(seed);
         if nodes == 0 || horizon_us <= 0.0 {
             return plan;
         }
-        let mut crashed = false;
+        // A crash on a one-node cluster would kill the only node.
+        let mut crashed = nodes < 2;
         for _ in 0..count {
             let at_us = rng.range_f64(0.05 * horizon_us, 0.95 * horizon_us);
             let node = rng.index(nodes);
@@ -494,6 +497,18 @@ mod tests {
                 .filter(|f| f.kind == FaultKind::NodeCrash)
                 .count();
             assert!(crashes <= 1, "seed {seed} drew {crashes} crashes");
+        }
+    }
+
+    #[test]
+    fn single_node_campaigns_never_crash_the_only_node() {
+        for seed in 0..32 {
+            let plan = FaultPlan::random_campaign(seed, 1, 50_000.0, 10);
+            assert_eq!(plan.len(), 10);
+            assert!(
+                plan.faults().iter().all(|f| f.kind != FaultKind::NodeCrash),
+                "seed {seed} crashed the only node"
+            );
         }
     }
 

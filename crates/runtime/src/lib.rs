@@ -51,7 +51,7 @@ pub mod virt;
 pub use cluster::{Cluster, NodeSpec};
 pub use events::{EventQueue, EventToken, QueueStats};
 pub use scheduler::{
-    CampaignCheckpoint, Failure, HealPolicy, HealStats, HealedOutcome, Policy, RecoveryConfig,
+    CampaignCheckpoint, HealPolicy, HealStats, HealedOutcome, Policy, RecoveryConfig,
     ScheduleEntry, Scheduler, SimulationResult,
 };
 pub use task::{TaskGraph, TaskId, TaskSpec};

@@ -3,12 +3,13 @@
 //! load-balances, accounts for data transfers between nodes, and
 //! reschedules around node failures (lineage-based re-execution).
 //!
-//! Beyond the single-failure path ([`Scheduler::run_with_failure`]),
-//! the scheduler simulates seeded multi-fault campaigns
-//! ([`Scheduler::run_with_plan`]): transient faults trigger per-task
-//! retries with deterministic exponential backoff, repeatedly faulting
-//! nodes are quarantined, and FPGA tasks degrade gracefully to their
-//! CPU implementation when the retry budget runs out or their VF is
+//! Faults arrive as seeded [`FaultPlan`] campaigns
+//! ([`Scheduler::run_with_plan`]; a single node failure is
+//! [`FaultPlan::single_node_crash`]): crashes go through lineage
+//! re-execution, transient faults trigger per-task retries with
+//! deterministic exponential backoff, repeatedly faulting nodes are
+//! quarantined, and FPGA tasks degrade gracefully to their CPU
+//! implementation when the retry budget runs out or their VF is
 //! unplugged. See `docs/RESILIENCE.md`.
 //!
 //! Gray failures close the loop ([`Scheduler::run_self_healing`]): the
@@ -21,6 +22,11 @@
 //! suspect nodes. Periodic [`CampaignCheckpoint`]s snapshot the
 //! completed-task frontier so a campaign resumes from the last
 //! checkpoint instead of re-executing the whole lineage.
+//!
+//! All four entry points — [`Scheduler::run`],
+//! [`Scheduler::run_with_plan`], [`Scheduler::run_self_healing`] and
+//! [`Scheduler::resume_self_healing`] — are one campaign through the
+//! same core: the lineage fixpoint around a single pass engine.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -134,15 +140,6 @@ impl SimulationResult {
     }
 }
 
-/// An injected node failure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Failure {
-    /// Node index that dies.
-    pub node: usize,
-    /// Virtual time of death (µs).
-    pub at_us: f64,
-}
-
 /// Tunables for plan-driven fault recovery (see `docs/RESILIENCE.md`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
@@ -162,18 +159,6 @@ impl Default for RecoveryConfig {
             retry: RetryPolicy::default(),
             quarantine_threshold: 3,
             cpu_fallback: true,
-        }
-    }
-}
-
-impl RecoveryConfig {
-    /// Lineage-only recovery: no retries, no quarantine, no fallback —
-    /// exactly the legacy `run_with_failure` behaviour.
-    fn lineage_only() -> RecoveryConfig {
-        RecoveryConfig {
-            retry: RetryPolicy::none(),
-            quarantine_threshold: u32::MAX,
-            cpu_fallback: false,
         }
     }
 }
@@ -214,13 +199,13 @@ impl Default for HealPolicy {
 
 /// A periodic seeded snapshot of one campaign: the completed-task
 /// frontier plus everything the pass engine needs to resume
-/// deterministically. Taken at scheduling-round boundaries by
-/// [`Scheduler::run_self_healing`] /
-/// [`Scheduler::run_with_plan_checkpointed`]; fed back to
-/// [`Scheduler::resume_self_healing`] / [`Scheduler::resume_with_plan`]
-/// to restart from the frontier instead of re-executing the whole
-/// lineage. Resuming reproduces the uninterrupted run's results
-/// exactly.
+/// deterministically. Taken at commit boundaries by
+/// [`Scheduler::run_self_healing`] every
+/// [`HealPolicy::checkpoint_every_tasks`] completions; fed back to
+/// [`Scheduler::resume_self_healing`] to restart from the frontier
+/// instead of re-executing the whole lineage. Resuming reproduces the
+/// uninterrupted run's results exactly, crash-recovery fixpoint passes
+/// included.
 #[derive(Debug, Clone)]
 pub struct CampaignCheckpoint {
     /// The plan seed the snapshot belongs to (resume asserts it
@@ -232,19 +217,34 @@ pub struct CampaignCheckpoint {
     pub frontier_us: f64,
     /// Recovery accounting at the snapshot.
     pub stats: RecoveryStats,
-    /// Checkpoint cadence of the run that took this snapshot, so a
-    /// resumed campaign keeps checkpointing on the same marks.
-    every: usize,
     state: Box<EngineSnapshot>,
 }
 
-/// Result of a checkpointed (and possibly self-healing) campaign.
+/// Result of a self-healing campaign
+/// ([`Scheduler::run_self_healing`]).
 #[derive(Debug, Clone)]
 pub struct HealedOutcome {
     /// The simulation result.
     pub result: SimulationResult,
-    /// Checkpoints taken, in frontier order.
+    /// Checkpoints taken by the pass that produced `result`, in
+    /// frontier order (earlier lineage-fixpoint passes are drafts).
     pub checkpoints: Vec<CampaignCheckpoint>,
+}
+
+/// Everything one campaign hands the simulation core: the plan split
+/// into fail-stop crashes and the per-node fault model, the recovery
+/// knobs, the optional healing loop, the checkpoint cadence and the
+/// checkpoint to resume from.
+struct Campaign<'a> {
+    /// `NodeCrash` faults, fed to the lineage fixpoint.
+    crashes: Vec<FaultSpec>,
+    model: FaultModel,
+    recovery: &'a RecoveryConfig,
+    heal: Option<&'a HealPolicy>,
+    /// Checkpoint every `.0` completed tasks, stamped with plan seed
+    /// `.1`; `None` takes no checkpoints.
+    checkpoint: Option<(usize, u64)>,
+    resume: Option<&'a CampaignCheckpoint>,
 }
 
 /// Plan-derived fault context, precomputed per node for one simulation.
@@ -290,7 +290,7 @@ impl FaultModel {
     /// Splits a plan into fail-stop crashes (fed to the lineage
     /// machinery) and everything else. Faults naming nodes outside the
     /// cluster are ignored.
-    fn from_plan(plan: &FaultPlan, n_nodes: usize) -> (Vec<Failure>, FaultModel) {
+    fn from_plan(plan: &FaultPlan, n_nodes: usize) -> (Vec<FaultSpec>, FaultModel) {
         let mut crashes = Vec::new();
         let mut model = FaultModel::empty(n_nodes);
         model.jitter = plan.jitter_rng();
@@ -299,10 +299,7 @@ impl FaultModel {
                 continue;
             }
             match f.kind {
-                FaultKind::NodeCrash => crashes.push(Failure {
-                    node: f.node,
-                    at_us: f.at_us,
-                }),
+                FaultKind::NodeCrash => crashes.push(f.clone()),
                 FaultKind::LinkDegrade {
                     factor,
                     duration_us,
@@ -585,72 +582,28 @@ impl Scheduler {
         self
     }
 
-    /// Simulates the execution of a task graph.
+    /// Simulates the fault-free execution of a task graph.
     pub fn run(&self, graph: &TaskGraph) -> SimulationResult {
-        self.run_with_failure(graph, None)
-    }
-
-    /// Simulates with an optional injected node failure: tasks running on
-    /// the dead node are killed, and outputs stranded there are
-    /// recomputed through their lineage, like the resource manager's
-    /// rescheduling behaviour.
-    pub fn run_with_failure(
-        &self,
-        graph: &TaskGraph,
-        failure: Option<Failure>,
-    ) -> SimulationResult {
-        let telemetry_span = self.telemetry.span("scheduler.run");
-        telemetry_span
-            .arg("policy", format!("{:?}", self.policy))
-            .arg("tasks", graph.len())
-            .arg("nodes", self.cluster.nodes.len())
-            .arg("failure_injected", failure.is_some());
-        let crashes: Vec<Failure> = failure.into_iter().collect();
-        let model = FaultModel::empty(self.cluster.nodes.len());
-        let result = self.simulate(graph, &crashes, &model, &RecoveryConfig::lineage_only());
-        telemetry_span
-            .arg("recovered", result.recovered_tasks)
-            .record_sim_us(result.makespan_us);
-        self.telemetry
-            .counter_add("scheduler.tasks_scheduled", result.entries.len() as u64);
-        self.telemetry
-            .counter_add("scheduler.recovered_tasks", result.recovered_tasks as u64);
-        result
+        let plan = FaultPlan::new(0);
+        self.campaign(graph, &plan, &RecoveryConfig::default(), None, None)
+            .0
     }
 
     /// Simulates under a seeded fault plan: node crashes go through the
-    /// lineage machinery, transient faults trigger per-task retries
-    /// with deterministic backoff, repeatedly faulting nodes are
-    /// quarantined, and FPGA tasks degrade to their CPU implementation
-    /// when recovery runs out of budget. The same plan and config
-    /// always produce the same [`SimulationResult`].
+    /// lineage machinery (tasks running on the dead node are killed and
+    /// outputs stranded there are recomputed through their lineage),
+    /// transient faults trigger per-task retries with deterministic
+    /// backoff, repeatedly faulting nodes are quarantined, and FPGA
+    /// tasks degrade to their CPU implementation when recovery runs out
+    /// of budget. The same plan and config always produce the same
+    /// [`SimulationResult`].
     pub fn run_with_plan(
         &self,
         graph: &TaskGraph,
         plan: &FaultPlan,
         config: &RecoveryConfig,
     ) -> SimulationResult {
-        let telemetry_span = self.telemetry.span("scheduler.run");
-        telemetry_span
-            .arg("policy", format!("{:?}", self.policy))
-            .arg("tasks", graph.len())
-            .arg("nodes", self.cluster.nodes.len())
-            .arg("failure_injected", !plan.is_empty())
-            .arg("faults", plan.len());
-        let (crashes, model) = FaultModel::from_plan(plan, self.cluster.nodes.len());
-        let result = self.simulate(graph, &crashes, &model, config);
-        telemetry_span
-            .arg("recovered", result.recovered_tasks)
-            .record_sim_us(result.makespan_us);
-        self.telemetry
-            .counter_add("scheduler.tasks_scheduled", result.entries.len() as u64);
-        self.telemetry
-            .counter_add("scheduler.recovered_tasks", result.recovered_tasks as u64);
-        self.telemetry.counter_add(
-            "scheduler.degraded_tasks",
-            result.recovery.degraded_to_cpu as u64,
-        );
-        result
+        self.campaign(graph, plan, config, None, None).0
     }
 
     /// Runs a seeded campaign with the closed detection → verdict →
@@ -668,30 +621,7 @@ impl Scheduler {
         config: &RecoveryConfig,
         policy: &HealPolicy,
     ) -> HealedOutcome {
-        let telemetry_span = self.telemetry.span("scheduler.run");
-        telemetry_span
-            .arg("policy", format!("{:?}", self.policy))
-            .arg("tasks", graph.len())
-            .arg("nodes", self.cluster.nodes.len())
-            .arg("healing", true)
-            .arg("faults", plan.len());
-        let (crashes, model) = FaultModel::from_plan(plan, self.cluster.nodes.len());
-        let (result, checkpoints) = self.simulate_core(
-            graph,
-            &crashes,
-            &model,
-            config,
-            Some(policy),
-            plan.seed,
-            policy.checkpoint_every_tasks,
-            None,
-        );
-        telemetry_span
-            .arg("verdicts", result.heal.verdicts.len())
-            .arg("migrations", result.heal.migrations)
-            .record_sim_us(result.makespan_us);
-        self.telemetry
-            .counter_add("scheduler.tasks_scheduled", result.entries.len() as u64);
+        let (result, checkpoints) = self.campaign(graph, plan, config, Some(policy), None);
         HealedOutcome {
             result,
             checkpoints,
@@ -719,101 +649,62 @@ impl Scheduler {
             from.seed, plan.seed,
             "checkpoint taken under a different plan seed"
         );
-        let (crashes, model) = FaultModel::from_plan(plan, self.cluster.nodes.len());
-        self.simulate_core(
-            graph,
-            &crashes,
-            &model,
-            config,
-            Some(policy),
-            plan.seed,
-            policy.checkpoint_every_tasks,
-            Some(from),
-        )
-        .0
-    }
-
-    /// [`Scheduler::run_with_plan`] with periodic campaign checkpoints
-    /// (every `every` completed tasks; no healing loop). Feed any
-    /// returned checkpoint to [`Scheduler::resume_with_plan`] to restart
-    /// from its frontier instead of re-executing the whole campaign.
-    pub fn run_with_plan_checkpointed(
-        &self,
-        graph: &TaskGraph,
-        plan: &FaultPlan,
-        config: &RecoveryConfig,
-        every: usize,
-    ) -> HealedOutcome {
-        let (crashes, model) = FaultModel::from_plan(plan, self.cluster.nodes.len());
-        let (result, checkpoints) = self.simulate_core(
-            graph, &crashes, &model, config, None, plan.seed, every, None,
-        );
-        HealedOutcome {
-            result,
-            checkpoints,
-        }
-    }
-
-    /// Resumes a checkpointed (non-healing) campaign; the counterpart of
-    /// [`Scheduler::run_with_plan_checkpointed`], with the same
-    /// exact-reproduction guarantee as [`Scheduler::resume_self_healing`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the checkpoint was taken under a different plan seed.
-    pub fn resume_with_plan(
-        &self,
-        graph: &TaskGraph,
-        plan: &FaultPlan,
-        config: &RecoveryConfig,
-        from: &CampaignCheckpoint,
-    ) -> SimulationResult {
-        assert_eq!(
-            from.seed, plan.seed,
-            "checkpoint taken under a different plan seed"
-        );
-        let (crashes, model) = FaultModel::from_plan(plan, self.cluster.nodes.len());
-        self.simulate_core(
-            graph,
-            &crashes,
-            &model,
-            config,
-            None,
-            plan.seed,
-            from.every,
-            Some(from),
-        )
-        .0
-    }
-
-    fn simulate(
-        &self,
-        graph: &TaskGraph,
-        crashes: &[Failure],
-        model: &FaultModel,
-        config: &RecoveryConfig,
-    ) -> SimulationResult {
-        self.simulate_core(graph, crashes, model, config, None, 0, 0, None)
+        self.campaign(graph, plan, config, Some(policy), Some(from))
             .0
     }
 
+    /// The one campaign entry: derives the fault model from `plan`,
+    /// runs (or resumes) the simulation core and records the
+    /// `scheduler.run` span and counters.
+    fn campaign(
+        &self,
+        graph: &TaskGraph,
+        plan: &FaultPlan,
+        recovery: &RecoveryConfig,
+        heal: Option<&HealPolicy>,
+        resume: Option<&CampaignCheckpoint>,
+    ) -> (SimulationResult, Vec<CampaignCheckpoint>) {
+        let span = self.telemetry.span("scheduler.run");
+        span.arg("policy", format!("{:?}", self.policy))
+            .arg("tasks", graph.len())
+            .arg("nodes", self.cluster.nodes.len())
+            .arg("faults", plan.len())
+            .arg("healing", heal.is_some())
+            .arg("resumed", resume.is_some());
+        let (crashes, model) = FaultModel::from_plan(plan, self.cluster.nodes.len());
+        let every = heal.map_or(0, |p| p.checkpoint_every_tasks);
+        let campaign = Campaign {
+            crashes,
+            model,
+            recovery,
+            heal,
+            checkpoint: (every > 0).then_some((every, plan.seed)),
+            resume,
+        };
+        let (result, checkpoints) = self.simulate_core(graph, &campaign);
+        span.arg("recovered", result.recovered_tasks)
+            .arg("verdicts", result.heal.verdicts.len())
+            .arg("migrations", result.heal.migrations)
+            .record_sim_us(result.makespan_us);
+        self.telemetry
+            .counter_add("scheduler.tasks_scheduled", result.entries.len() as u64);
+        self.telemetry
+            .counter_add("scheduler.recovered_tasks", result.recovered_tasks as u64);
+        self.telemetry.counter_add(
+            "scheduler.degraded_tasks",
+            result.recovery.degraded_to_cpu as u64,
+        );
+        (result, checkpoints)
+    }
+
     /// The shared simulation core: the crash-recovery fixpoint around
-    /// [`Scheduler::run_pass`], optionally with the closed healing loop
-    /// (`policy`), periodic checkpoints (`every` completed tasks,
-    /// stamped with `seed`), and a checkpoint to resume from. The same
-    /// inputs always produce the same outputs; resuming from a
-    /// checkpoint reproduces the uninterrupted run exactly.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Scheduler::run_pass`]. The same campaign always produces the
+    /// same outputs; resuming from a checkpoint reproduces the
+    /// uninterrupted run exactly.
     fn simulate_core(
         &self,
         graph: &TaskGraph,
-        crashes: &[Failure],
-        model: &FaultModel,
-        config: &RecoveryConfig,
-        policy: Option<&HealPolicy>,
-        seed: u64,
-        every: usize,
-        resume: Option<&CampaignCheckpoint>,
+        campaign: &Campaign<'_>,
     ) -> (SimulationResult, Vec<CampaignCheckpoint>) {
         let finish = |mut result: SimulationResult, forced: &HashSet<TaskId>| {
             result.recovered_tasks = forced.len();
@@ -822,7 +713,8 @@ impl Scheduler {
             result.recovery.recovered = recovered;
             result
         };
-        let ckpt = (every > 0).then_some((every, seed));
+        let crashes = &campaign.crashes;
+        let resume = campaign.resume;
         let mut checkpoints: Vec<CampaignCheckpoint> = Vec::new();
         let mut forced_rerun: HashSet<TaskId> = resume
             .map(|c| c.state.forced_rerun.iter().copied().collect())
@@ -834,21 +726,18 @@ impl Scheduler {
             let snap = restored.take().unwrap_or_else(|| {
                 let mut forced: Vec<TaskId> = forced_rerun.iter().copied().collect();
                 forced.sort_unstable();
-                EngineSnapshot::fresh(&self.cluster, graph.len(), model, pass_index, forced)
+                EngineSnapshot::fresh(
+                    &self.cluster,
+                    graph.len(),
+                    &campaign.model,
+                    pass_index,
+                    forced,
+                )
             });
             // Only checkpoints of the pass that produced the final
             // result are returned (earlier fixpoint passes are drafts).
             checkpoints.clear();
-            let result = self.run_pass(
-                graph,
-                crashes,
-                model,
-                config,
-                policy,
-                snap,
-                ckpt,
-                &mut checkpoints,
-            );
+            let result = self.run_pass(graph, campaign, snap, &mut checkpoints);
             if crashes.is_empty() {
                 return (result, checkpoints);
             }
@@ -882,21 +771,18 @@ impl Scheduler {
         }
     }
 
-    /// Runs (or resumes) one scheduling pass over `snap`, optionally
-    /// with the healing loop live and periodic checkpoints appended to
-    /// `checkpoints`.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs (or resumes) one scheduling pass over `snap`, with the
+    /// campaign's healing loop live and its periodic checkpoints
+    /// appended to `checkpoints`.
     fn run_pass(
         &self,
         graph: &TaskGraph,
-        crashes: &[Failure],
-        model: &FaultModel,
-        config: &RecoveryConfig,
-        policy: Option<&HealPolicy>,
+        campaign: &Campaign<'_>,
         mut snap: EngineSnapshot,
-        ckpt: Option<(usize, u64)>,
         checkpoints: &mut Vec<CampaignCheckpoint>,
     ) -> SimulationResult {
+        let (crashes, model, config) = (&campaign.crashes, &campaign.model, campaign.recovery);
+        let (policy, ckpt) = (campaign.heal, campaign.checkpoint);
         let n_nodes = self.cluster.nodes.len();
         let forced_off_failed: HashSet<TaskId> = snap.forced_rerun.iter().copied().collect();
         // The live control loop: restored from the snapshot when
@@ -953,7 +839,6 @@ impl Scheduler {
                         state.heal = healer.as_ref().map(HealRuntime::snapshot);
                         checkpoints.push(CampaignCheckpoint {
                             seed,
-                            every,
                             completed_tasks: state.entries.len(),
                             frontier_us: state.frontier_us(),
                             stats: state.stats.clone(),
@@ -1023,28 +908,10 @@ impl Scheduler {
                 // committed.
                 let mut cands: Vec<Cand> = Vec::with_capacity(candidates.len());
                 for node in candidates {
-                    let (e_start, e_dur, on_fpga, e_transfer) = self.eft(
-                        graph,
-                        t,
-                        node,
-                        &snap.core_free,
-                        &snap.fpga_free,
-                        &snap.finish,
-                        &snap.location,
-                        model,
-                    );
+                    let (e_start, e_dur, on_fpga, e_transfer) =
+                        self.eft(graph, t, node, &snap, model);
                     let (start, dur, transfer, link_obs) = if model.has_gray() {
-                        self.actual_timing(
-                            graph,
-                            t,
-                            node,
-                            on_fpga,
-                            &snap.core_free,
-                            &snap.fpga_free,
-                            &snap.finish,
-                            &snap.location,
-                            model,
-                        )
+                        self.actual_timing(graph, t, node, on_fpga, &snap, model)
                     } else {
                         (e_start, e_dur, e_transfer, 1.0)
                     };
@@ -1429,7 +1296,7 @@ impl Scheduler {
         graph: &TaskGraph,
         task: TaskId,
         node: usize,
-        crashes: &[Failure],
+        crashes: &[FaultSpec],
         forced_off_failed: &HashSet<TaskId>,
     ) -> bool {
         let spec = graph.task(task);
@@ -1447,18 +1314,16 @@ impl Scheduler {
     /// link flaps are modelled (they fire errors the runtime can see),
     /// but gray degradations are not — a silently slow node looks
     /// healthy here.
-    #[allow(clippy::too_many_arguments)]
     fn eft(
         &self,
         graph: &TaskGraph,
         task: TaskId,
         node: usize,
-        core_free: &[Vec<f64>],
-        fpga_free: &[f64],
-        finish: &[Option<f64>],
-        location: &[Option<usize>],
+        pass: &EngineSnapshot,
         model: &FaultModel,
     ) -> (f64, f64, bool, f64) {
+        let (core_free, fpga_free) = (&pass.core_free, &pass.fpga_free);
+        let (finish, location) = (&pass.finish, &pass.location);
         let spec = graph.task(task);
         // Data readiness.
         let mut data_ready = 0.0f64;
@@ -1509,19 +1374,17 @@ impl Scheduler {
     /// `(start, duration, transfer_actual, link_obs)` where `link_obs`
     /// is achieved-over-planned transfer cost (1.0 without transfers).
     /// With no gray faults in the plan this is exactly `eft`.
-    #[allow(clippy::too_many_arguments)]
     fn actual_timing(
         &self,
         graph: &TaskGraph,
         task: TaskId,
         node: usize,
         on_fpga: bool,
-        core_free: &[Vec<f64>],
-        fpga_free: &[f64],
-        finish: &[Option<f64>],
-        location: &[Option<usize>],
+        pass: &EngineSnapshot,
         model: &FaultModel,
     ) -> (f64, f64, f64, f64) {
+        let (core_free, fpga_free) = (&pass.core_free, &pass.fpga_free);
+        let (finish, location) = (&pass.finish, &pass.location);
         let spec = graph.task(task);
         let mut data_ready = 0.0f64;
         let mut transfer_actual = 0.0f64;
@@ -1680,13 +1543,8 @@ mod tests {
         let cluster = Cluster::homogeneous(4, 1);
         let s = Scheduler::new(cluster, Policy::Heft);
         let clean = s.run(&g);
-        let failed = s.run_with_failure(
-            &g,
-            Some(Failure {
-                node: 0,
-                at_us: clean.makespan_us * 0.5,
-            }),
-        );
+        let crash = FaultPlan::single_node_crash(0, 0, clean.makespan_us * 0.5);
+        let failed = s.run_with_plan(&g, &crash, &RecoveryConfig::default());
         // All tasks still complete.
         assert_eq!(failed.entries.len(), g.len());
         // Nothing scheduled on node 0 finishes after the failure.
@@ -2049,24 +1907,37 @@ mod tests {
 
     #[test]
     fn checkpointed_crash_campaign_resumes_identically() {
-        use everest_faults::FaultPlan;
+        use everest_faults::{FaultKind, FaultPlan, FaultSpec};
         let g = fork_join(16, 1_500.0, 1 << 12);
         let s = Scheduler::new(Cluster::homogeneous(4, 1), Policy::Heft);
-        // Crashes exercise the multi-pass lineage fixpoint under resume.
-        let plan = FaultPlan::random_campaign(42, 4, 9_000.0, 5);
         let config = RecoveryConfig::default();
-        let plain = s.run_with_plan(&g, &plan, &config);
-        let ckpted = s.run_with_plan_checkpointed(&g, &plan, &config, 5);
-        // Checkpointing never changes the simulation itself.
-        assert_eq!(ckpted.result.entries, plain.entries);
-        assert_eq!(ckpted.result.makespan_us, plain.makespan_us);
-        assert_eq!(ckpted.result.recovery, plain.recovery);
-        assert!(ckpted.result.heal.checkpoints_taken >= 1);
-        let last = ckpted.checkpoints.last().expect("checkpoints taken");
-        let resumed = s.resume_with_plan(&g, &plan, &config, last);
-        assert_eq!(resumed.entries, ckpted.result.entries);
-        assert_eq!(resumed.recovery, ckpted.result.recovery);
-        assert_eq!(resumed.heal, ckpted.result.heal);
+        let policy = HealPolicy {
+            checkpoint_every_tasks: 5,
+            ..heal_policy()
+        };
+        // The random campaign crashes node 3 after the join has its
+        // inputs; the extra mid-run crash strands finished outputs the
+        // join still needs, so the lineage fixpoint runs several passes
+        // and checkpoints are cut inside the later ones.
+        let late = FaultPlan::random_campaign(42, 4, 9_000.0, 5);
+        let mid = late
+            .clone()
+            .with_fault(FaultSpec::new(4_000.0, 1, FaultKind::NodeCrash));
+        for (plan, multi_pass) in [(late, false), (mid, true)] {
+            let full = s.run_self_healing(&g, &plan, &config, &policy);
+            assert!(full.result.heal.checkpoints_taken >= 1);
+            assert_eq!(full.result.recovered_tasks > 0, multi_pass);
+            assert_eq!(
+                full.checkpoints.iter().all(|c| c.state.pass_index > 0),
+                multi_pass
+            );
+            for ckpt in &full.checkpoints {
+                let resumed = s.resume_self_healing(&g, &plan, &config, &policy, ckpt);
+                assert_eq!(resumed.entries, full.result.entries);
+                assert_eq!(resumed.recovery, full.result.recovery);
+                assert_eq!(resumed.heal, full.result.heal);
+            }
+        }
     }
 
     #[test]
@@ -2089,13 +1960,8 @@ mod tests {
         let s = Scheduler::new(Cluster::homogeneous(2, 1), Policy::Heft);
         let clean = s.run(&g);
         let src_node = clean.entries.iter().find(|e| e.task == src).unwrap().node;
-        let failed = s.run_with_failure(
-            &g,
-            Some(Failure {
-                node: src_node,
-                at_us: 1_000.0,
-            }),
-        );
+        let crash = FaultPlan::single_node_crash(0, src_node, 1_000.0);
+        let failed = s.run_with_plan(&g, &crash, &RecoveryConfig::default());
         assert!(
             failed.recovered_tasks >= 1,
             "src output stranded on dead node must be recomputed"

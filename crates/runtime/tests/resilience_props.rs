@@ -7,8 +7,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use everest_runtime::{
-    Cluster, Failure, FaultPlan, Policy, RecoveryConfig, Scheduler, SimulationResult, TaskGraph,
-    TaskSpec,
+    Cluster, FaultPlan, Policy, RecoveryConfig, RetryPolicy, Scheduler, SimulationResult,
+    TaskGraph, TaskSpec,
 };
 use everest_telemetry::Registry;
 
@@ -83,10 +83,10 @@ proptest! {
         prop_assert_eq!(trace(&reg_a), trace(&reg_b));
     }
 
-    /// (b) A plan holding a single node crash behaves exactly like the
-    /// legacy single-failure path: every task completes, nothing
-    /// finishes on the dead node after the crash, and the recovered
-    /// accounting matches the lineage set.
+    /// (b) A plan holding a single node crash behaves exactly like
+    /// lineage-only recovery: every task completes, nothing finishes on
+    /// the dead node after the crash, and the recovered accounting
+    /// matches the lineage set.
     #[test]
     fn single_crash_plan_matches_lineage_recovery(
         shape in proptest::collection::vec((any::<u8>(), any::<u8>(), 1u16..1000, any::<bool>()), 2..25),
@@ -102,7 +102,12 @@ proptest! {
 
         let plan = FaultPlan::single_node_crash(1, node, at_us);
         let planned = scheduler.run_with_plan(&graph, &plan, &RecoveryConfig::default());
-        let legacy = scheduler.run_with_failure(&graph, Some(Failure { node, at_us }));
+        let lineage_only = RecoveryConfig {
+            retry: RetryPolicy::none(),
+            quarantine_threshold: u32::MAX,
+            cpu_fallback: false,
+        };
+        let lineage = scheduler.run_with_plan(&graph, &plan, &lineage_only);
 
         prop_assert_eq!(planned.entries.len(), graph.len());
         for e in &planned.entries {
@@ -111,9 +116,9 @@ proptest! {
                     "task {} finishes on the dead node after the crash", e.task);
             }
         }
-        // One crash, no transients: the plan-driven path must reduce to
-        // the legacy lineage recovery.
-        assert_same_result_ignoring_stats(&planned, &legacy)?;
+        // One crash, no transients: retries, quarantine and fallback
+        // never engage, so full recovery reduces to lineage recovery.
+        assert_same_result_ignoring_stats(&planned, &lineage)?;
         prop_assert_eq!(planned.recovered_tasks, planned.recovery.recovered.len());
         let mut sorted = planned.recovery.recovered.clone();
         sorted.sort_unstable();

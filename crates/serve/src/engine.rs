@@ -211,7 +211,7 @@ pub struct BatchRecord {
 }
 
 /// Per-tenant accounting.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantOutcome {
     /// Tenant name.
     pub name: String,
@@ -234,7 +234,7 @@ pub struct TenantOutcome {
 }
 
 /// The result of a serving run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeOutcome {
     /// Requests offered by the arrival trace.
     pub offered: u64,
@@ -637,36 +637,44 @@ struct NodeState {
     creep: Option<(f64, f64)>,
 }
 
-/// A hedge duplicate running alongside a batch's primary leg. Exactly
-/// one may exist per batch (the hedge timer fires once); whichever leg
-/// completes first wins and the other is cancelled.
+/// One execution of a batch on one node: the primary leg, or the hedge
+/// duplicate racing it.
 #[derive(Debug)]
-struct HedgeLeg {
+struct Leg {
     node: usize,
     start_us: f64,
+    /// The dispatcher's gray-blind placement estimate.
     expected_us: f64,
+    /// What the leg actually costs, gray windows applied.
     actual_us: f64,
     fpga_path: bool,
+    /// Index of the leg's [`BatchRecord`] in the trace.
     record: usize,
+    /// The scheduled completion event, cancelled if the leg fails, is
+    /// fenced or loses the hedge race.
     completion: EventToken,
+}
+
+/// How a leg ended before its completion event fired.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LegEnd {
+    /// A fault killed it; a sole leg's requests retry or fail.
+    Failed,
+    /// A membership confirm fenced its node; a sole leg's requests
+    /// re-enter the fair queue.
+    Fenced,
 }
 
 #[derive(Debug)]
 struct Inflight {
-    node: usize,
     class: usize,
     requests: Vec<Request>,
-    start_us: f64,
-    expected_us: f64,
-    actual_us: f64,
     probe: bool,
-    fpga_path: bool,
-    record: usize,
-    /// The scheduled completion event, cancelled if a fault fails the
-    /// batch first or a hedge duplicate wins the race.
-    completion: EventToken,
-    /// The hedge duplicate, once one has been dispatched.
-    hedge: Option<HedgeLeg>,
+    primary: Leg,
+    /// The hedge duplicate, once one has been dispatched. Exactly one
+    /// may exist per batch (the hedge timer fires once); whichever leg
+    /// completes first wins and the other is cancelled.
+    hedge: Option<Leg>,
     /// Pending hedge-delay timer, cancelled when the batch reaches a
     /// terminal state (or consumed when it fires).
     hedge_timer: Option<EventToken>,
@@ -726,10 +734,9 @@ struct Sim<'a> {
     /// not count — the limiter bounds admitted work, not copies).
     inflight_count: usize,
     metrics: ServeMetrics,
-    /// Partition-tolerant membership + shard leases, when enabled.
-    membership: Option<ClusterController>,
-    /// `cluster.*` instruments, present exactly when `membership` is.
-    cluster_metrics: Option<ClusterMetrics>,
+    /// Partition-tolerant membership + shard leases and their
+    /// `cluster.*` instruments, when the cluster layer is on.
+    membership: Option<(ClusterController, ClusterMetrics)>,
     /// Last depth published to the `serve.queue_depth` gauge; the
     /// store is skipped while the depth is unchanged.
     last_depth: usize,
@@ -787,63 +794,26 @@ impl<'a> Sim<'a> {
         )
         .into_requests();
         let outcome = ServeOutcome {
-            offered: 0,
-            admitted: 0,
-            completed: 0,
-            failed: 0,
-            shed_rate_limited: 0,
-            shed_queue_full: 0,
-            shed_static: 0,
-            shed_overloaded: 0,
-            shed_brownout: 0,
-            shed_partitioned: 0,
-            shed_deadline: 0,
-            slo_violations: 0,
-            retries: 0,
-            retry_denied: 0,
-            hedges: 0,
-            hedge_wins: 0,
-            hedge_cancelled: 0,
-            hedge_denied: 0,
-            brownout_transitions: 0,
-            brownout_peak_tier: 0,
-            breaker_opens: 0,
-            probes: 0,
-            gossip_rounds: 0,
-            suspects: 0,
-            confirms: 0,
-            refutations: 0,
-            failovers: 0,
-            degraded_grants: 0,
-            partition_orphans: 0,
-            fenced_batches: 0,
-            cluster_epoch: 0,
-            retunes: 0,
             tenants: cfg
                 .tenants
                 .iter()
                 .map(|t| TenantOutcome {
                     name: t.name.clone(),
                     weight: t.weight,
-                    offered: 0,
-                    admitted: 0,
-                    completed: 0,
-                    shed: 0,
-                    failed: 0,
-                    retried: 0,
+                    ..TenantOutcome::default()
                 })
                 .collect(),
-            batches: Vec::new(),
-            latencies_us: Vec::new(),
             horizon_us: cfg.horizon_us,
-            end_us: 0.0,
             final_max_batch: cfg.batch.iter().map(|p| p.max_batch).collect(),
+            ..ServeOutcome::default()
         };
         let metrics = ServeMetrics::new(&registry);
-        let membership = cfg
-            .cluster
-            .map(|c| ClusterController::new(c, cfg.nodes, plan));
-        let cluster_metrics = cfg.cluster.map(|_| ClusterMetrics::new(&registry));
+        let membership = cfg.cluster.map(|c| {
+            (
+                ClusterController::new(c, cfg.nodes, plan),
+                ClusterMetrics::new(&registry),
+            )
+        });
         let retry_budgets: Vec<RetryBudget> = match &cfg.lifecycle.retry {
             Some(retry) => cfg
                 .tenants
@@ -907,7 +877,6 @@ impl<'a> Sim<'a> {
             inflight_count: 0,
             metrics,
             membership,
-            cluster_metrics,
             last_depth: usize::MAX,
             scratch_idle: Vec::with_capacity(cfg.nodes),
             scratch_admitted: Vec::with_capacity(cfg.nodes),
@@ -979,7 +948,7 @@ impl<'a> Sim<'a> {
         for (index, fault) in self.plan.faults().iter().enumerate() {
             self.push_event(fault.at_us, EventKind::Fault(index));
         }
-        if let Some(ctrl) = &self.membership {
+        if let Some((ctrl, _)) = &self.membership {
             let period = ctrl.period_us();
             self.push_event(period, EventKind::GossipRound);
         }
@@ -1044,7 +1013,7 @@ impl<'a> Sim<'a> {
             "no work in flight"
         );
         debug_assert_eq!(self.inflight_count, 0, "inflight count drained");
-        if let Some(ctrl) = &self.membership {
+        if let Some((ctrl, _)) = &self.membership {
             let swim = ctrl.swim_stats();
             let lease = ctrl.lease_stats();
             self.outcome.gossip_rounds = swim.rounds;
@@ -1101,7 +1070,7 @@ impl<'a> Sim<'a> {
         self.metrics.probes.add(o.probes);
         self.metrics.breaker_opens.add(o.breaker_opens);
         self.metrics.retunes.add(o.retunes);
-        if let (Some(cm), Some(ctrl)) = (&self.cluster_metrics, &self.membership) {
+        if let Some((ctrl, cm)) = &self.membership {
             let swim = ctrl.swim_stats();
             let lease = ctrl.lease_stats();
             cm.gossip_rounds.add(swim.rounds);
@@ -1145,7 +1114,7 @@ impl<'a> Sim<'a> {
         if self
             .membership
             .as_ref()
-            .is_some_and(|c| c.tenant_owner(request.tenant, now).is_none())
+            .is_some_and(|(c, _)| c.tenant_owner(request.tenant, now).is_none())
         {
             self.shed(&request, ShedReason::PartitionedAway);
             return false;
@@ -1255,26 +1224,11 @@ impl<'a> Sim<'a> {
             self.scratch_idle.clear();
             self.scratch_admitted.clear();
             for index in 0..self.nodes.len() {
-                let node = &self.nodes[index];
-                if node.crashed || node.current.is_some() || node.free_at_us > now {
+                if !self.idle(index, now) {
                     continue;
                 }
-                // Membership gates dispatch ahead of the breakers: a
-                // node the coordinator cannot see Alive (or a
-                // component with neither quorum nor the degraded
-                // escape hatch) takes no new work, full stop — the
-                // availability-beats-isolation override below never
-                // reaches across a partition.
-                if self
-                    .membership
-                    .as_ref()
-                    .is_some_and(|c| !c.dispatchable(index))
-                {
-                    continue;
-                }
-                let admitted = node.breaker.peek(now) != BreakerAdmission::Refuse;
                 self.scratch_idle.push(index);
-                if admitted {
+                if self.nodes[index].breaker.peek(now) != BreakerAdmission::Refuse {
                     self.scratch_admitted.push(index);
                 }
             }
@@ -1304,73 +1258,25 @@ impl<'a> Sim<'a> {
             } else {
                 &self.scratch_admitted
             };
-            let node = pool
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    self.healthy_service_us(a, batch.class, size)
-                        .total_cmp(&self.healthy_service_us(b, batch.class, size))
-                        .then(a.cmp(&b))
-                })
+            let node = self
+                .fastest(pool.iter().copied(), batch.class, size)
                 .expect("pool non-empty");
-            let probe = match self.nodes[node].breaker.admit(now) {
-                BreakerAdmission::Probe => true,
-                // `Refuse` only on the availability-override path.
-                BreakerAdmission::Admit | BreakerAdmission::Refuse => false,
-            };
-            if probe {
-                self.outcome.probes += 1;
-            }
-            let expected = self.healthy_service_us(node, batch.class, size);
-            let actual = self.actual_service_us(node, batch.class, size, now);
-            let finish = now + actual;
-            self.nodes[node].free_at_us = finish;
-            self.nodes[node].current = Some(batch.id);
+            let (primary, probe) = self.start_leg(batch.id, batch.class, size, node, false, now);
             for request in &batch.requests {
                 self.metrics.queue_wait_us.record(now - request.arrival_us);
             }
             self.metrics.batch_size.record(size as f64);
-            self.outcome.batches.push(BatchRecord {
-                id: batch.id,
-                class: batch.class,
-                node,
-                size,
-                start_us: now,
-                finish_us: finish,
-                probe,
-                failed: false,
-                hedge: false,
-                cancelled: false,
-                epoch: self
-                    .membership
-                    .as_ref()
-                    .map_or(0, ClusterController::fencing_epoch),
-                fenced: false,
-            });
-            let completion = self.push_event(
-                finish,
-                EventKind::Completion {
-                    batch: batch.id,
-                    hedged: false,
-                },
-            );
             let hedge_timer = if self.hedge_eligible(batch.class, probe) {
-                let delay = self.hedge_delay_us(batch.class, expected);
+                let delay = self.hedge_delay_us(batch.class, primary.expected_us);
                 Some(self.push_event(now + delay, EventKind::HedgeTimer { batch: batch.id }))
             } else {
                 None
             };
             *Self::slot(&mut self.inflight, batch.id) = Some(Inflight {
-                node,
                 class: batch.class,
                 requests: batch.requests,
-                start_us: now,
-                expected_us: expected,
-                actual_us: actual,
                 probe,
-                fpga_path: self.nodes[node].fpga,
-                record: self.outcome.batches.len() - 1,
-                completion,
+                primary,
                 hedge: None,
                 hedge_timer,
             });
@@ -1378,6 +1284,104 @@ impl<'a> Sim<'a> {
             dispatched += 1;
         }
         dispatched
+    }
+
+    /// Whether `node` can take a new leg now: alive, idle, and — with
+    /// the cluster layer on — visible to the coordinator. Membership
+    /// gates dispatch ahead of the breakers: a node the coordinator
+    /// cannot see Alive (or a component with neither quorum nor the
+    /// degraded escape hatch) takes no new work, full stop, so the
+    /// availability-beats-isolation override in [`Sim::dispatch`]
+    /// never reaches across a partition.
+    fn idle(&self, node: usize, now: f64) -> bool {
+        let state = &self.nodes[node];
+        !state.crashed
+            && state.current.is_none()
+            && state.free_at_us <= now
+            && self
+                .membership
+                .as_ref()
+                .is_none_or(|(c, _)| c.dispatchable(node))
+    }
+
+    /// The candidate with the lowest healthy service time for a batch
+    /// of `size` requests of `class` (lowest index on ties).
+    fn fastest(
+        &self,
+        candidates: impl Iterator<Item = usize>,
+        class: usize,
+        size: usize,
+    ) -> Option<usize> {
+        candidates.min_by(|&a, &b| {
+            self.healthy_service_us(a, class, size)
+                .total_cmp(&self.healthy_service_us(b, class, size))
+                .then(a.cmp(&b))
+        })
+    }
+
+    /// Starts a leg of `batch` on `node`: passes the node's breaker,
+    /// marks the node busy until the leg's actual finish, appends the
+    /// leg's trace record and schedules its completion. Returns the
+    /// leg and whether it is a half-open breaker probe (never for a
+    /// hedge, which only goes to fully admitted nodes).
+    fn start_leg(
+        &mut self,
+        batch: u64,
+        class: usize,
+        size: usize,
+        node: usize,
+        hedge: bool,
+        now: f64,
+    ) -> (Leg, bool) {
+        let probe = match self.nodes[node].breaker.admit(now) {
+            BreakerAdmission::Probe => true,
+            // `Refuse` only on the availability-override path.
+            BreakerAdmission::Admit | BreakerAdmission::Refuse => false,
+        };
+        if probe {
+            self.outcome.probes += 1;
+        }
+        let expected_us = self.healthy_service_us(node, class, size);
+        let actual_us = self.actual_service_us(node, class, size, now);
+        let finish = now + actual_us;
+        let state = &mut self.nodes[node];
+        state.free_at_us = finish;
+        state.current = Some(batch);
+        let fpga_path = state.fpga;
+        self.outcome.batches.push(BatchRecord {
+            id: batch,
+            class,
+            node,
+            size,
+            start_us: now,
+            finish_us: finish,
+            probe,
+            failed: false,
+            hedge,
+            cancelled: false,
+            epoch: self
+                .membership
+                .as_ref()
+                .map_or(0, |(c, _)| c.fencing_epoch()),
+            fenced: false,
+        });
+        let completion = self.push_event(
+            finish,
+            EventKind::Completion {
+                batch,
+                hedged: hedge,
+            },
+        );
+        let leg = Leg {
+            node,
+            start_us: now,
+            expected_us,
+            actual_us,
+            fpga_path,
+            record: self.outcome.batches.len() - 1,
+            completion,
+        };
+        (leg, probe)
     }
 
     /// Whether a freshly dispatched batch gets a hedge timer: hedging
@@ -1479,38 +1483,27 @@ impl<'a> Sim<'a> {
         if let Some(token) = inflight.hedge_timer.take() {
             self.queue.cancel(token);
         }
-        // Resolve the hedge race. Four cases: the duplicate won (cancel
-        // the primary, promote the duplicate's leg), the primary won
-        // with the duplicate still running (cancel the duplicate), a
-        // promoted duplicate completed as the only surviving leg
-        // (`hedged` but no duplicate left), or there never was a race.
-        if hedged && inflight.hedge.is_some() {
-            let leg = inflight
-                .hedge
-                .take()
-                .expect("checked hedge leg present above");
-            self.queue.cancel(inflight.completion);
-            self.nodes[inflight.node].current = None;
-            self.nodes[inflight.node].free_at_us = now;
-            self.outcome.batches[inflight.record].cancelled = true;
-            self.outcome.batches[inflight.record].finish_us = now;
-            self.outcome.hedge_wins += 1;
-            self.outcome.hedge_cancelled += 1;
-            inflight.node = leg.node;
-            inflight.start_us = leg.start_us;
-            inflight.expected_us = leg.expected_us;
-            inflight.actual_us = leg.actual_us;
-            inflight.fpga_path = leg.fpga_path;
-            inflight.record = leg.record;
-        } else if let Some(leg) = inflight.hedge.take() {
-            self.queue.cancel(leg.completion);
-            self.nodes[leg.node].current = None;
-            self.nodes[leg.node].free_at_us = now;
-            self.outcome.batches[leg.record].cancelled = true;
-            self.outcome.batches[leg.record].finish_us = now;
+        // Resolve the hedge race: the duplicate won (cancel the
+        // primary, promote the duplicate), the primary won with the
+        // duplicate still running (cancel the duplicate), or no race is
+        // left (never hedged, or a promoted duplicate completing alone).
+        if let Some(leg) = inflight.hedge.take() {
+            let loser = if hedged {
+                self.outcome.hedge_wins += 1;
+                std::mem::replace(&mut inflight.primary, leg)
+            } else {
+                leg
+            };
+            self.queue.cancel(loser.completion);
+            self.nodes[loser.node].current = None;
+            self.nodes[loser.node].free_at_us = now;
+            let record = &mut self.outcome.batches[loser.record];
+            record.cancelled = true;
+            record.finish_us = now;
             self.outcome.hedge_cancelled += 1;
         }
-        let node = inflight.node;
+        let leg = &inflight.primary;
+        let node = leg.node;
         self.nodes[node].current = None;
         let mut latency_sum = 0.0;
         let mut latency_max = 0.0_f64;
@@ -1533,7 +1526,7 @@ impl<'a> Sim<'a> {
                 self.retry_budgets[request.tenant].on_success();
             }
         }
-        let service_us = now - inflight.start_us;
+        let service_us = now - leg.start_us;
         if self.cfg.lifecycle.hedge.is_some() {
             self.hedge_windows[inflight.class].push(service_us);
         }
@@ -1549,15 +1542,15 @@ impl<'a> Sim<'a> {
         }
         self.inflight_count -= 1;
         let size = inflight.requests.len();
-        let inflation = if inflight.expected_us > 0.0 {
-            inflight.actual_us / inflight.expected_us
+        let inflation = if leg.expected_us > 0.0 {
+            leg.actual_us / leg.expected_us
         } else {
             1.0
         };
         self.monitor.record_task(node, inflation, now);
-        if inflight.fpga_path {
+        if leg.fpga_path {
             self.monitor
-                .record_fpga(node, self.creep_factor(node, inflight.start_us), now);
+                .record_fpga(node, self.creep_factor(node, leg.start_us), now);
         }
         if inflight.probe {
             if inflation <= self.cfg.health.straggler_ratio {
@@ -1577,7 +1570,7 @@ impl<'a> Sim<'a> {
         let class = inflight.class;
         let cache = self.tuner_slots(class);
         self.tuners[class].observe_slot(cache.latency, latency_sum / size as f64);
-        self.tuners[class].observe_slot(cache.per_request, inflight.actual_us / size as f64);
+        self.tuners[class].observe_slot(cache.per_request, leg.actual_us / size as f64);
         self.class_completions[class] += 1;
         if self.cfg.autotune && self.class_completions[class].is_multiple_of(self.cfg.retune_every)
         {
@@ -1607,7 +1600,7 @@ impl<'a> Sim<'a> {
                     || self
                         .membership
                         .as_ref()
-                        .is_some_and(|c| c.confirmed_dead(*index))
+                        .is_some_and(|(c, _)| c.confirmed_dead(*index))
             })
             .count();
         let transition = self
@@ -1721,7 +1714,7 @@ impl<'a> Sim<'a> {
             FaultKind::NodeCrash => {
                 self.nodes[node].crashed = true;
                 self.nodes[node].fpga = false;
-                self.fail_current(node, now);
+                self.end_leg(node, LegEnd::Failed, now);
             }
             FaultKind::LinkDegrade {
                 factor,
@@ -1752,21 +1745,20 @@ impl<'a> Sim<'a> {
                         .current
                         .and_then(|b| self.inflight.get(b as usize))
                         .and_then(|slot| slot.as_ref())
-                        .map(|i| {
-                            if i.node == node {
-                                i.fpga_path
+                        .is_some_and(|i| {
+                            if i.primary.node == node {
+                                i.primary.fpga_path
                             } else {
                                 i.hedge.as_ref().is_some_and(|leg| leg.fpga_path)
                             }
-                        })
-                        .unwrap_or(false);
+                        });
                 self.nodes[node].fpga = false;
                 if lost_inflight {
-                    self.fail_current(node, now);
+                    self.end_leg(node, LegEnd::Failed, now);
                 }
             }
             FaultKind::DmaTimeout | FaultKind::TransientKernelError | FaultKind::MemoryEcc => {
-                self.fail_current(node, now);
+                self.end_leg(node, LegEnd::Failed, now);
             }
             FaultKind::PartitionSym { .. }
             | FaultKind::PartitionAsym { .. }
@@ -1805,7 +1797,7 @@ impl<'a> Sim<'a> {
             self.scratch_crashed.push(node.crashed);
         }
         let (tick, period) = {
-            let ctrl = self
+            let (ctrl, _) = self
                 .membership
                 .as_mut()
                 .expect("checked non-None at handler entry");
@@ -1821,7 +1813,7 @@ impl<'a> Sim<'a> {
             // the brownout ladder sees the node exactly as it would a
             // gray conviction.
             self.monitor.flag(VerdictKind::Unreachable, node, now, 1.0);
-            self.orphan_node(node, now);
+            self.end_leg(node, LegEnd::Fenced, now);
         }
         for &node in &tick.revived {
             self.registry.event(
@@ -1849,193 +1841,74 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Fences `node` out of the serving tier after a membership
-    /// confirm. A partitioned node is not crashed: the simulation's
-    /// completion event for its in-flight leg would still fire, and —
-    /// after the shard fails over — would complete the same requests a
-    /// new owner may also serve. That is exactly the double execution
-    /// the fence exists to prevent, so the leg's completion is
-    /// cancelled here (the cancelled event *is* the fence) and the
-    /// record marked. A sole surviving leg's requests re-enter the
-    /// fair queue: admitted exactly once, terminal exactly once, no
-    /// retry budget burned and no attempt charged — the tenant did
-    /// nothing wrong.
-    fn orphan_node(&mut self, node: usize, now: f64) {
-        let Some(batch) = self.nodes[node].current.take() else {
-            if !self.nodes[node].crashed {
-                self.nodes[node].free_at_us = now;
-            }
-            return;
-        };
-        enum OrphanFate {
-            /// The sole surviving leg ran on the fenced node:
-            /// re-enqueue its requests.
-            Requeue,
-            /// The primary ran there but a hedge duplicate survives
-            /// elsewhere: promote the duplicate.
-            PromoteHedge,
-            /// Only the hedge duplicate ran there; the primary keeps
-            /// running.
-            DropHedgeLeg,
-            /// The slot was already drained (stale `current`).
-            Gone,
-        }
-        let fate = match Self::slot(&mut self.inflight, batch).as_ref() {
-            None => OrphanFate::Gone,
-            Some(inflight) if inflight.node != node => OrphanFate::DropHedgeLeg,
-            Some(inflight) if inflight.hedge.is_some() => OrphanFate::PromoteHedge,
-            Some(_) => OrphanFate::Requeue,
-        };
-        match fate {
-            OrphanFate::Gone => {}
-            OrphanFate::DropHedgeLeg => {
-                let inflight = Self::slot(&mut self.inflight, batch)
-                    .as_mut()
-                    .expect("fate checked the slot is live");
-                let leg = inflight
-                    .hedge
-                    .take()
-                    .expect("DropHedgeLeg implies the duplicate runs here");
-                self.queue.cancel(leg.completion);
-                self.outcome.batches[leg.record].fenced = true;
-                self.outcome.batches[leg.record].finish_us = now;
-                self.outcome.fenced_batches += 1;
-            }
-            OrphanFate::PromoteHedge => {
-                let inflight = Self::slot(&mut self.inflight, batch)
-                    .as_mut()
-                    .expect("fate checked the slot is live");
-                let leg = inflight
-                    .hedge
-                    .take()
-                    .expect("PromoteHedge implies a hedge leg");
-                let dead_completion = inflight.completion;
-                let dead_record = inflight.record;
-                let dead_timer = inflight.hedge_timer.take();
-                inflight.node = leg.node;
-                inflight.start_us = leg.start_us;
-                inflight.expected_us = leg.expected_us;
-                inflight.actual_us = leg.actual_us;
-                inflight.fpga_path = leg.fpga_path;
-                inflight.record = leg.record;
-                inflight.completion = leg.completion;
-                self.queue.cancel(dead_completion);
-                if let Some(token) = dead_timer {
-                    self.queue.cancel(token);
-                }
-                self.outcome.batches[dead_record].fenced = true;
-                self.outcome.batches[dead_record].finish_us = now;
-                self.outcome.fenced_batches += 1;
-            }
-            OrphanFate::Requeue => {
-                let inflight = Self::slot(&mut self.inflight, batch)
-                    .take()
-                    .expect("fate checked the slot is live");
-                self.queue.cancel(inflight.completion);
+    /// Ends whatever leg is executing on `node` right now: a fault
+    /// failed it, or a membership confirm fenced its node. A hedged
+    /// batch only ends with its *last* surviving leg: losing the
+    /// primary promotes the duplicate, losing the duplicate leaves the
+    /// primary running. A sole leg's requests are settled by `end`: a
+    /// failed batch's requests retry or fail terminally; a fenced
+    /// batch's requests re-enter the fair queue — admitted exactly
+    /// once, terminal exactly once, no retry budget burned and no
+    /// attempt charged (the tenant did nothing wrong).
+    ///
+    /// A partitioned node is not crashed: the simulation's completion
+    /// event for its fenced leg would still fire and, after the shard
+    /// fails over, complete requests a new owner may also serve.
+    /// Cancelling that completion here *is* the fence.
+    fn end_leg(&mut self, node: usize, end: LegEnd, now: f64) {
+        if let Some(batch) = self.nodes[node].current.take() {
+            let slot = Self::slot(&mut self.inflight, batch);
+            if let Some(inflight) = slot.as_mut().filter(|i| i.hedge.is_some()) {
+                let leg = inflight.hedge.take().expect("filtered to hedged batches");
+                let dead = if leg.node == node {
+                    leg
+                } else {
+                    // A promoted duplicate will not be hedged again.
+                    if let Some(token) = inflight.hedge_timer.take() {
+                        self.queue.cancel(token);
+                    }
+                    std::mem::replace(&mut inflight.primary, leg)
+                };
+                self.queue.cancel(dead.completion);
+                self.mark_ended(dead.record, end, now);
+            } else if let Some(inflight) = slot.take() {
+                self.queue.cancel(inflight.primary.completion);
                 if let Some(token) = inflight.hedge_timer {
                     self.queue.cancel(token);
                 }
                 self.inflight_count -= 1;
-                self.outcome.batches[inflight.record].fenced = true;
-                self.outcome.batches[inflight.record].finish_us = now;
-                self.outcome.fenced_batches += 1;
-                self.outcome.partition_orphans += inflight.requests.len() as u64;
-                for request in inflight.requests {
-                    self.wfq.push(request);
+                self.mark_ended(inflight.primary.record, end, now);
+                match end {
+                    LegEnd::Failed => {
+                        for request in inflight.requests {
+                            self.retry_or_fail(request, now);
+                        }
+                    }
+                    LegEnd::Fenced => {
+                        self.outcome.partition_orphans += inflight.requests.len() as u64;
+                        for request in inflight.requests {
+                            self.wfq.push(request);
+                        }
+                    }
                 }
             }
+            // Otherwise `current` was stale: the slot already drained.
         }
         if !self.nodes[node].crashed {
             self.nodes[node].free_at_us = now;
         }
     }
 
-    /// Fails whatever leg is executing on `node` right now. A hedged
-    /// batch only dies with its *last* surviving leg: losing the
-    /// primary promotes the duplicate, losing the duplicate leaves the
-    /// primary running, and only a sole leg's death makes the requests
-    /// terminal (or retried, when the retry layer is on).
-    fn fail_current(&mut self, node: usize, now: f64) {
-        let Some(batch) = self.nodes[node].current.take() else {
-            if !self.nodes[node].crashed {
-                self.nodes[node].free_at_us = now;
+    /// Stamps an ended leg's trace record.
+    fn mark_ended(&mut self, record: usize, end: LegEnd, now: f64) {
+        let record = &mut self.outcome.batches[record];
+        record.finish_us = now;
+        match end {
+            LegEnd::Failed => record.failed = true,
+            LegEnd::Fenced => {
+                record.fenced = true;
+                self.outcome.fenced_batches += 1;
             }
-            return;
-        };
-        enum LegFate {
-            /// The sole surviving leg died: the batch is over.
-            Terminal,
-            /// The primary died but the duplicate survives: promote it.
-            PrimaryDied,
-            /// The duplicate died; the primary keeps running.
-            HedgeDied,
-            /// The slot was already drained (stale `current`).
-            Gone,
-        }
-        let fate = match Self::slot(&mut self.inflight, batch).as_ref() {
-            None => LegFate::Gone,
-            Some(inflight) if inflight.node != node => LegFate::HedgeDied,
-            Some(inflight) if inflight.hedge.is_some() => LegFate::PrimaryDied,
-            Some(_) => LegFate::Terminal,
-        };
-        match fate {
-            LegFate::Gone => {}
-            LegFate::PrimaryDied => {
-                let inflight = Self::slot(&mut self.inflight, batch)
-                    .as_mut()
-                    .expect("fate checked the slot is live");
-                let leg = inflight
-                    .hedge
-                    .take()
-                    .expect("PrimaryDied implies a hedge leg");
-                let dead_completion = inflight.completion;
-                let dead_record = inflight.record;
-                // A promoted duplicate will not be hedged again.
-                let dead_timer = inflight.hedge_timer.take();
-                inflight.node = leg.node;
-                inflight.start_us = leg.start_us;
-                inflight.expected_us = leg.expected_us;
-                inflight.actual_us = leg.actual_us;
-                inflight.fpga_path = leg.fpga_path;
-                inflight.record = leg.record;
-                inflight.completion = leg.completion;
-                self.queue.cancel(dead_completion);
-                if let Some(token) = dead_timer {
-                    self.queue.cancel(token);
-                }
-                self.outcome.batches[dead_record].failed = true;
-                self.outcome.batches[dead_record].finish_us = now;
-            }
-            LegFate::HedgeDied => {
-                let inflight = Self::slot(&mut self.inflight, batch)
-                    .as_mut()
-                    .expect("fate checked the slot is live");
-                let leg = inflight
-                    .hedge
-                    .take()
-                    .expect("HedgeDied implies the hedge leg runs here");
-                self.queue.cancel(leg.completion);
-                self.outcome.batches[leg.record].failed = true;
-                self.outcome.batches[leg.record].finish_us = now;
-            }
-            LegFate::Terminal => {
-                let inflight = Self::slot(&mut self.inflight, batch)
-                    .take()
-                    .expect("fate checked the slot is live");
-                self.queue.cancel(inflight.completion);
-                if let Some(token) = inflight.hedge_timer {
-                    self.queue.cancel(token);
-                }
-                self.inflight_count -= 1;
-                for request in &inflight.requests {
-                    self.retry_or_fail(*request, now);
-                }
-                self.outcome.batches[inflight.record].failed = true;
-                self.outcome.batches[inflight.record].finish_us = now;
-            }
-        }
-        if !self.nodes[node].crashed {
-            self.nodes[node].free_at_us = now;
         }
     }
 
@@ -2094,7 +1967,11 @@ impl<'a> Sim<'a> {
             if inflight.hedge.is_some() {
                 return;
             }
-            (inflight.node, inflight.class, inflight.requests.len())
+            (
+                inflight.primary.node,
+                inflight.class,
+                inflight.requests.len(),
+            )
         };
         // The tier may have climbed past hedging since the timer was
         // scheduled.
@@ -2103,79 +1980,20 @@ impl<'a> Sim<'a> {
         }
         // A duplicate only helps on a node the breakers fully admit:
         // idle, alive, not the primary's node, and not a probe slot.
-        let mut candidate: Option<usize> = None;
-        for index in 0..self.nodes.len() {
-            let state = &self.nodes[index];
-            if index == primary_node
-                || state.crashed
-                || state.current.is_some()
-                || state.free_at_us > now
-                || state.breaker.peek(now) != BreakerAdmission::Admit
-                || self
-                    .membership
-                    .as_ref()
-                    .is_some_and(|c| !c.dispatchable(index))
-            {
-                continue;
-            }
-            let better = match candidate {
-                None => true,
-                Some(best) => self
-                    .healthy_service_us(index, class, size)
-                    .total_cmp(&self.healthy_service_us(best, class, size))
-                    .is_lt(),
-            };
-            if better {
-                candidate = Some(index);
-            }
-        }
-        let Some(node) = candidate else {
+        let candidates = (0..self.nodes.len()).filter(|&index| {
+            index != primary_node
+                && self.idle(index, now)
+                && self.nodes[index].breaker.peek(now) == BreakerAdmission::Admit
+        });
+        let Some(node) = self.fastest(candidates, class, size) else {
             self.outcome.hedge_denied += 1;
             return;
         };
-        let expected = self.healthy_service_us(node, class, size);
-        let actual = self.actual_service_us(node, class, size, now);
-        let finish = now + actual;
-        self.nodes[node].free_at_us = finish;
-        self.nodes[node].current = Some(batch);
-        let fpga_path = self.nodes[node].fpga;
-        self.outcome.batches.push(BatchRecord {
-            id: batch,
-            class,
-            node,
-            size,
-            start_us: now,
-            finish_us: finish,
-            probe: false,
-            failed: false,
-            hedge: true,
-            cancelled: false,
-            epoch: self
-                .membership
-                .as_ref()
-                .map_or(0, ClusterController::fencing_epoch),
-            fenced: false,
-        });
-        let record = self.outcome.batches.len() - 1;
-        let completion = self.push_event(
-            finish,
-            EventKind::Completion {
-                batch,
-                hedged: true,
-            },
-        );
-        let inflight = Self::slot(&mut self.inflight, batch)
+        let (leg, _) = self.start_leg(batch, class, size, node, true, now);
+        Self::slot(&mut self.inflight, batch)
             .as_mut()
-            .expect("slot verified live at the top of the handler");
-        inflight.hedge = Some(HedgeLeg {
-            node,
-            start_us: now,
-            expected_us: expected,
-            actual_us: actual,
-            fpga_path,
-            record,
-            completion,
-        });
+            .expect("slot verified live at the top of the handler")
+            .hedge = Some(leg);
         self.outcome.hedges += 1;
     }
 
