@@ -97,6 +97,14 @@ pub struct ClusterController {
     swim: SwimDetector,
     /// Static ring mapping tenant keys onto shard ids.
     tenant_ring: HashRing,
+    /// Ring mapping shards onto `alive`; rebuilt only when that set
+    /// changes, which is rare next to the gossip cadence.
+    node_ring: HashRing,
+    /// The coordinator-view fully-`Alive` nodes (sorted) `node_ring`
+    /// was built from.
+    alive: Vec<usize>,
+    /// Scratch for the next tick's alive set, kept to reuse its buffer.
+    next_alive: Vec<usize>,
     leases: LeaseTable,
     coordinator: usize,
     quorum: bool,
@@ -117,6 +125,9 @@ impl ClusterController {
             swim: SwimDetector::new(cfg.membership, nodes, plan.seed),
             tenant_ring: HashRing::with_members(cfg.vnodes, 0..cfg.shards),
             leases: LeaseTable::new(cfg.lease, cfg.shards, &node_ring),
+            node_ring,
+            alive: (0..nodes).collect(),
+            next_alive: Vec::with_capacity(nodes),
             coordinator: 0,
             quorum: true,
             degraded: false,
@@ -166,7 +177,7 @@ impl ClusterController {
         tick.degraded = self.degraded;
         // Coordinator-view refresh: who is dead, who may take work.
         let granting = self.quorum || self.degraded;
-        let mut alive = Vec::with_capacity(self.nodes);
+        self.next_alive.clear();
         for (n, n_crashed) in crashed.iter().enumerate().take(self.nodes) {
             let state = self.swim.state(coordinator, n);
             let dead_now = state == MemberState::Dead;
@@ -180,13 +191,21 @@ impl ClusterController {
             let fully_alive = state == MemberState::Alive && !*n_crashed;
             self.dispatchable[n] = fully_alive && granting;
             if fully_alive {
-                alive.push(n);
+                self.next_alive.push(n);
             }
         }
-        let node_ring = HashRing::with_members(self.cfg.vnodes, alive.iter().map(|&n| n as u32));
-        tick.failovers = self
-            .leases
-            .tick(now_us, &alive, self.quorum, self.degraded, &node_ring);
+        if self.next_alive != self.alive {
+            std::mem::swap(&mut self.alive, &mut self.next_alive);
+            self.node_ring =
+                HashRing::with_members(self.cfg.vnodes, self.alive.iter().map(|&n| n as u32));
+        }
+        tick.failovers = self.leases.tick(
+            now_us,
+            &self.alive,
+            self.quorum,
+            self.degraded,
+            &self.node_ring,
+        );
         tick
     }
 
@@ -251,7 +270,7 @@ impl ClusterController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use everest_faults::{FaultKind, FaultSpec};
+    use everest_faults::{DetRng, FaultKind, FaultSpec};
 
     fn run_ticks(
         ctl: &mut ClusterController,
@@ -369,6 +388,61 @@ mod tests {
             (0..4).filter(|&n| ctl.dispatchable(n)).count() == 2,
             "only the surviving component takes work"
         );
+    }
+
+    /// Reference for the cached node ring: a controller that forgets
+    /// its ring before every tick, so each tick rebuilds it from the
+    /// current alive set exactly as if no cache existed.
+    fn reference_tick(ctl: &mut ClusterController, now_us: f64, crashed: &[bool]) -> ClusterTick {
+        ctl.alive = vec![usize::MAX];
+        ctl.node_ring = HashRing::new(ctl.cfg.vnodes);
+        ctl.tick(now_us, crashed)
+    }
+
+    #[test]
+    fn cached_ring_decides_like_a_per_tick_rebuild() {
+        let mut rebuilds = 0;
+        for seed in 0..24u64 {
+            let nodes = 3 + (seed % 4) as usize;
+            let horizon_us = 120_000.0;
+            let plan = FaultPlan::random_partition_campaign(seed, nodes, horizon_us, 3);
+            let mut cached = ClusterController::new(ClusterConfig::default(), nodes, &plan);
+            let mut reference = cached.clone();
+            let mut rng = DetRng::new(seed).fork(0xC4A5);
+            let mut crashed = vec![false; nodes];
+            let mut ring = cached.node_ring.clone();
+            let mut now = 0.0;
+            while now < horizon_us {
+                now += cached.period_us();
+                // Occasional fail-stop toggles on top of the network plan.
+                if rng.index(40) == 0 {
+                    let n = rng.index(nodes);
+                    crashed[n] = !crashed[n];
+                }
+                let got = cached.tick(now, &crashed);
+                let want = reference_tick(&mut reference, now, &crashed);
+                assert_eq!(got, want, "seed {seed} at {now} us");
+                assert_eq!(cached.fencing_epoch(), reference.fencing_epoch());
+                for node in 0..nodes {
+                    assert_eq!(cached.dispatchable(node), reference.dispatchable(node));
+                    assert_eq!(cached.confirmed_dead(node), reference.confirmed_dead(node));
+                }
+                for tenant in 0..32 {
+                    assert_eq!(
+                        cached.tenant_owner(tenant, now),
+                        reference.tenant_owner(tenant, now),
+                        "seed {seed} tenant {tenant} at {now} us"
+                    );
+                }
+                if cached.node_ring != ring {
+                    rebuilds += 1;
+                    ring = cached.node_ring.clone();
+                }
+            }
+            assert_eq!(cached.lease_stats(), reference.lease_stats());
+            assert_eq!(cached.swim_stats(), reference.swim_stats());
+        }
+        assert!(rebuilds > 24, "the campaigns must change the alive set");
     }
 
     #[test]

@@ -36,12 +36,21 @@ impl HashRing {
         }
     }
 
-    /// A ring pre-populated with `members`.
+    /// A ring pre-populated with `members` (duplicates collapse, as
+    /// with repeated [`HashRing::insert`]). Every virtual point is
+    /// collected first and sorted once.
     pub fn with_members(vnodes: u32, members: impl IntoIterator<Item = u32>) -> HashRing {
         let mut ring = HashRing::new(vnodes);
-        for m in members {
-            ring.insert(m);
-        }
+        let mut members: Vec<u32> = members.into_iter().collect();
+        members.sort_unstable();
+        members.dedup();
+        ring.points = members
+            .iter()
+            .flat_map(|&m| (0..ring.vnodes).map(move |v| (Self::point(m, v), m)))
+            .collect();
+        // `point` is injective (the finalizer is a bijection on u64),
+        // so no two entries tie and the unstable sort is exact.
+        ring.points.sort_unstable();
         ring
     }
 
@@ -122,6 +131,27 @@ mod tests {
         ring.remove(3);
         assert_eq!(ring.len(), 3);
         assert!(!ring.contains(3));
+    }
+
+    #[test]
+    fn one_sort_build_equals_the_insert_built_ring() {
+        let member_sets: [&[u32]; 5] = [
+            &[],
+            &[3],
+            &[0, 1, 2, 3],
+            &[7, 2, 9, 2, 0],
+            &[15, 4, 8, 1, 4, 4],
+        ];
+        for vnodes in [0, 1, 3, 16, 64] {
+            for members in member_sets {
+                let mut by_insert = HashRing::new(vnodes);
+                for &m in members {
+                    by_insert.insert(m);
+                }
+                let built = HashRing::with_members(vnodes, members.iter().copied());
+                assert_eq!(built, by_insert, "vnodes {vnodes}, members {members:?}");
+            }
+        }
     }
 
     #[test]

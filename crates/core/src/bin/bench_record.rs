@@ -290,6 +290,23 @@ fn baseline_rate(path: &str) -> Option<f64> {
     }
 }
 
+/// Fails when `rate` is more than `max_regression`x below `base`.
+fn check_baseline(rate: f64, unit: &str, base: f64, max_regression: f64) -> ExitCode {
+    let ratio = base / rate.max(1e-9);
+    if ratio > max_regression {
+        eprintln!(
+            "error: perf regression: {rate:.0} {unit} is {ratio:.2}x \
+             slower than baseline {base:.0} (limit {max_regression:.1}x)"
+        );
+        return ExitCode::FAILURE;
+    }
+    println!(
+        "baseline check ok: {rate:.0} vs {base:.0} {unit} \
+         ({ratio:.2}x, limit {max_regression:.1}x)"
+    );
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Last occurrence wins, so callers can override the defaults
@@ -308,7 +325,18 @@ fn main() -> ExitCode {
     }
     let out_path = flag("--out").unwrap_or_else(|| format!("BENCH_{bench}.json"));
     let smoke = args.iter().any(|a| a == "--smoke");
-    let baseline_path = flag("--baseline");
+    // Read before the run writes anything: `--out` may name the
+    // baseline file itself.
+    let baseline = match flag("--baseline") {
+        None => None,
+        Some(path) => match baseline_rate(&path) {
+            Some(base) => Some(base),
+            None => {
+                eprintln!("error: baseline {path} is missing wall.events_per_sec");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
     let max_regression: f64 = match flag("--max-regression").map(|s| s.parse()) {
         None => 2.0,
         Some(Ok(f)) if f > 0.0 => f,
@@ -337,25 +365,10 @@ fn main() -> ExitCode {
         }
         println!("{json}");
         println!("wrote {out_path}");
-        if let Some(path) = baseline_path {
-            let Some(base) = baseline_rate(&path) else {
-                eprintln!("error: baseline {path} is missing wall.events_per_sec");
-                return ExitCode::FAILURE;
-            };
-            let ratio = base / rate.max(1e-9);
-            if ratio > max_regression {
-                eprintln!(
-                    "error: perf regression: {rate:.0} rows/sec is {ratio:.2}x \
-                     slower than baseline {base:.0} (limit {max_regression:.1}x)"
-                );
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "baseline check ok: {rate:.0} vs {base:.0} rows/sec \
-                 ({ratio:.2}x, limit {max_regression:.1}x)"
-            );
-        }
-        return ExitCode::SUCCESS;
+        return match baseline {
+            Some(base) => check_baseline(rate, "rows/sec", base, max_regression),
+            None => ExitCode::SUCCESS,
+        };
     }
 
     // A full-horizon run takes ~1 ms, so back-to-back repeats span
@@ -498,24 +511,8 @@ fn main() -> ExitCode {
     }
     println!("{json}");
     println!("wrote {out_path}");
-
-    if let Some(path) = baseline_path {
-        let Some(base) = baseline_rate(&path) else {
-            eprintln!("error: baseline {path} is missing wall.events_per_sec");
-            return ExitCode::FAILURE;
-        };
-        let ratio = base / events_per_sec.max(1e-9);
-        if ratio > max_regression {
-            eprintln!(
-                "error: perf regression: {events_per_sec:.0} events/sec is {ratio:.2}x \
-                 slower than baseline {base:.0} (limit {max_regression:.1}x)"
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "baseline check ok: {events_per_sec:.0} vs {base:.0} events/sec \
-             ({ratio:.2}x, limit {max_regression:.1}x)"
-        );
+    match baseline {
+        Some(base) => check_baseline(events_per_sec, "events/sec", base, max_regression),
+        None => ExitCode::SUCCESS,
     }
-    ExitCode::SUCCESS
 }

@@ -242,6 +242,26 @@ mod tests {
         assert_eq!(report.plan.len(), 8);
     }
 
+    /// On two nodes a dense plan crashes one node and faults the other
+    /// past the quarantine threshold; the survivor must stay eligible.
+    #[test]
+    fn two_node_dense_campaigns_complete_every_task() {
+        for seed in 1..=12 {
+            let opts = ChaosOptions {
+                seed,
+                nodes: 2,
+                faults: 20,
+                ..ChaosOptions::default()
+            };
+            let report = run_chaos(&opts);
+            let mut done: Vec<usize> = report.result.entries.iter().map(|e| e.task).collect();
+            done.sort_unstable();
+            done.dedup();
+            assert_eq!(done.len(), opts.tasks, "seed {seed}");
+            assert_eq!(report.result.entries.len(), opts.tasks, "seed {seed}");
+        }
+    }
+
     #[test]
     fn trace_is_valid_json() {
         let report = run_chaos(&ChaosOptions::default());

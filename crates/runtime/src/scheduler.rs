@@ -258,6 +258,9 @@ struct FaultModel {
     /// Virtual time each node loses its FPGA VF (`VfUnplug`); +inf if
     /// never.
     fpga_lost_at: Vec<f64>,
+    /// Whether each node fail-stops at some point of the plan
+    /// (`NodeCrash`); such a node can never be the last one left.
+    crashes: Vec<bool>,
     /// Fire times of ambient faults (link flaps, VF unplugs), counted
     /// as injected once the makespan reaches them.
     ambient_at_us: Vec<f64>,
@@ -279,6 +282,7 @@ impl FaultModel {
             transients: Vec::new(),
             link_windows: vec![Vec::new(); n_nodes],
             fpga_lost_at: vec![f64::INFINITY; n_nodes],
+            crashes: vec![false; n_nodes],
             ambient_at_us: Vec::new(),
             slow_windows: vec![Vec::new(); n_nodes],
             gray_link_windows: vec![Vec::new(); n_nodes],
@@ -299,7 +303,10 @@ impl FaultModel {
                 continue;
             }
             match f.kind {
-                FaultKind::NodeCrash => crashes.push(f.clone()),
+                FaultKind::NodeCrash => {
+                    model.crashes[f.node] = true;
+                    crashes.push(f.clone());
+                }
                 FaultKind::LinkDegrade {
                     factor,
                     duration_us,
@@ -1270,16 +1277,25 @@ impl Scheduler {
                 | FaultKind::MsgDelay { .. }
                 | FaultKind::MsgLoss { .. } => {}
             }
-            self.maybe_quarantine(node, config, pass);
+            self.maybe_quarantine(node, model, config, pass);
         }
     }
 
     /// Quarantines a node once it has absorbed enough faults, as long
-    /// as at least one other node stays available.
-    fn maybe_quarantine(&self, node: usize, config: &RecoveryConfig, pass: &mut EngineSnapshot) {
+    /// as at least one other node stays available: neither quarantined
+    /// nor crashing, since a crashed node takes no placement past its
+    /// crash and quarantining the last live one would leave none.
+    fn maybe_quarantine(
+        &self,
+        node: usize,
+        model: &FaultModel,
+        config: &RecoveryConfig,
+        pass: &mut EngineSnapshot,
+    ) {
+        let available = |n: usize| !pass.quarantined[n] && !model.crashes[n];
         if pass.node_faults[node] >= config.quarantine_threshold
             && !pass.quarantined[node]
-            && pass.quarantined.iter().filter(|q| !**q).count() > 1
+            && (0..pass.quarantined.len()).any(|n| n != node && available(n))
         {
             pass.quarantined[node] = true;
             pass.stats.quarantined_nodes.push(node);
@@ -1720,6 +1736,33 @@ mod tests {
         );
         // Retry budget of zero degrades the faulted FPGA tasks to CPU.
         assert!(r.recovery.degraded_to_cpu >= 1);
+    }
+
+    #[test]
+    fn a_crashed_node_never_counts_as_the_one_left_available() {
+        use everest_faults::{FaultKind, FaultPlan, FaultSpec};
+        let mut g = TaskGraph::new();
+        for i in 0..10 {
+            g.add(TaskSpec::new(&format!("t{i}"), 1_000.0)).unwrap();
+        }
+        // Node 0 fail-stops early; node 1 crosses the threshold after.
+        let mut plan = FaultPlan::new(23).with_fault(FaultSpec::new(50.0, 0, FaultKind::NodeCrash));
+        for k in 0..3 {
+            plan.push(FaultSpec::new(
+                100.0 + 300.0 * k as f64,
+                1,
+                FaultKind::TransientKernelError,
+            ));
+        }
+        let s = Scheduler::new(Cluster::homogeneous(2, 1), Policy::Heft);
+        let config = RecoveryConfig {
+            quarantine_threshold: 1,
+            ..RecoveryConfig::default()
+        };
+        let r = s.run_with_plan(&g, &plan, &config);
+        assert_eq!(r.entries.len(), g.len(), "must not deadlock");
+        assert!(r.recovery.quarantined_nodes.is_empty());
+        assert!(r.entries.iter().all(|e| e.node == 1));
     }
 
     #[test]

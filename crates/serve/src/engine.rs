@@ -1457,6 +1457,14 @@ impl<'a> Sim<'a> {
         compute * slow + self.cluster.transfer_us(spec.payload_bytes * size as u64) * link
     }
 
+    /// Adds a gray window opening at `now`, dropping the ones already
+    /// closed: every later query asks at a virtual time `>= now`, where
+    /// a window ending by `now` can no longer apply.
+    fn open_window(windows: &mut Vec<(f64, f64, f64)>, now: f64, duration_us: f64, factor: f64) {
+        windows.retain(|&(_, to, _)| to > now);
+        windows.push((now, now + duration_us, factor));
+    }
+
     fn window_factor(windows: &[(f64, f64, f64)], t: f64) -> f64 {
         windows
             .iter()
@@ -1724,13 +1732,13 @@ impl<'a> Sim<'a> {
                 factor,
                 duration_us,
             } => {
-                self.nodes[node].link.push((now, now + duration_us, factor));
+                Self::open_window(&mut self.nodes[node].link, now, duration_us, factor);
             }
             FaultKind::SlowNode {
                 factor,
                 duration_us,
             } => {
-                self.nodes[node].slow.push((now, now + duration_us, factor));
+                Self::open_window(&mut self.nodes[node].slow, now, duration_us, factor);
             }
             FaultKind::VfCreep { per_ms } => {
                 if self.nodes[node].creep.is_none() {
@@ -2032,6 +2040,21 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.offered > 0);
         assert!(a.completed > 0);
+    }
+
+    #[test]
+    fn opening_a_gray_window_drops_only_closed_ones() {
+        let mut windows = Vec::new();
+        Sim::open_window(&mut windows, 0.0, 100.0, 3.0);
+        Sim::open_window(&mut windows, 50.0, 20.0, 1.5);
+        assert_eq!(
+            Sim::window_factor(&windows, 60.0),
+            3.0,
+            "worst open window wins"
+        );
+        Sim::open_window(&mut windows, 100.0, 10.0, 2.0);
+        assert_eq!(windows, vec![(100.0, 110.0, 2.0)], "both ended by 100 us");
+        assert_eq!(Sim::window_factor(&windows, 105.0), 2.0);
     }
 
     #[test]

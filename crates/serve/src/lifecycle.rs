@@ -138,12 +138,15 @@ impl Default for HedgeConfig {
 }
 
 /// A bounded window of recent latency observations with deterministic
-/// nearest-rank quantiles. The ring keeps insertion order; quantiles
-/// sort a scratch copy with `total_cmp`, so two replays of the same
-/// run always agree.
+/// nearest-rank quantiles. The ring keeps insertion order; next to it a
+/// copy stays sorted under `total_cmp`, updated by binary search on
+/// every push (evicted value out, new value in), so a quantile is one
+/// index and two replays of the same run always agree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyWindow {
     ring: Vec<f64>,
+    /// `ring`'s values ordered by `total_cmp`.
+    sorted: Vec<f64>,
     cap: usize,
     next: usize,
 }
@@ -153,6 +156,7 @@ impl LatencyWindow {
     pub fn new(cap: usize) -> LatencyWindow {
         LatencyWindow {
             ring: Vec::with_capacity(cap.max(1)),
+            sorted: Vec::with_capacity(cap.max(1)),
             cap: cap.max(1),
             next: 0,
         }
@@ -163,8 +167,19 @@ impl LatencyWindow {
         if self.ring.len() < self.cap {
             self.ring.push(value_us);
         } else {
-            self.ring[self.next] = value_us;
+            let evicted = std::mem::replace(&mut self.ring[self.next], value_us);
+            // Values equal under `total_cmp` are bit-identical, so any
+            // match is the evicted one.
+            let at = self
+                .sorted
+                .binary_search_by(|v| v.total_cmp(&evicted))
+                .expect("the evicted value is held in the sorted copy");
+            self.sorted.remove(at);
         }
+        let at = self
+            .sorted
+            .partition_point(|v| v.total_cmp(&value_us).is_lt());
+        self.sorted.insert(at, value_us);
         self.next = (self.next + 1) % self.cap;
     }
 
@@ -181,13 +196,11 @@ impl LatencyWindow {
     /// Nearest-rank quantile of the window, `q` in `[0, 1]`; `None`
     /// while empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.ring.is_empty() {
+        if self.sorted.is_empty() {
             return None;
         }
-        let mut sorted = self.ring.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.max(1).min(sorted.len()) - 1])
+        let rank = (q.clamp(0.0, 1.0) * self.sorted.len() as f64).ceil() as usize;
+        Some(self.sorted[rank.max(1).min(self.sorted.len()) - 1])
     }
 }
 
@@ -456,6 +469,54 @@ mod tests {
         assert_eq!(w.len(), 4);
         assert_eq!(w.quantile(0.25), Some(20.0));
         assert_eq!(w.quantile(1.0), Some(50.0));
+    }
+
+    /// Reference quantile: sort a clone of the held values.
+    fn reference_quantile(values: &[f64], q: f64) -> Option<f64> {
+        if values.is_empty() {
+            return None;
+        }
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+        Some(sorted[rank.max(1).min(sorted.len()) - 1])
+    }
+
+    /// Values drawn from a small palette of signed zeros, repeats and
+    /// extremes, or from a coarse grid so duplicates are common.
+    fn window_value(pick: u32, raw: u32) -> f64 {
+        const PALETTE: [f64; 8] = [0.0, -0.0, 0.0, -0.0, 250.0, 250.0, f64::MAX, 1e-300];
+        match PALETTE.get(pick as usize) {
+            Some(&v) => v,
+            None => f64::from(raw % 400) * 0.5 - 50.0,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Bit-identical to clone-and-sort after every push, for
+        /// windows that fill, evict past `cap` and hold ties.
+        #[test]
+        fn latency_window_matches_clone_and_sort(
+            cap in 1usize..24,
+            pushes in proptest::collection::vec((0u32..16, proptest::prelude::any::<u32>()), 0..120),
+        ) {
+            let mut window = LatencyWindow::new(cap);
+            let mut history: Vec<f64> = Vec::new();
+            for (pick, raw) in pushes {
+                let value = window_value(pick, raw);
+                window.push(value);
+                history.push(value);
+                let held = &history[history.len().saturating_sub(cap)..];
+                proptest::prop_assert_eq!(window.len(), held.len());
+                for q in [0.0, 0.5, 0.95, 1.0] {
+                    let got = window.quantile(q).map(f64::to_bits);
+                    let want = reference_quantile(held, q).map(f64::to_bits);
+                    proptest::prop_assert_eq!(got, want, "q {} over {:?}", q, held);
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,25 @@ const CAMPAIGN_GOLDENS: [(u64, &str, &str); 3] = [
     ),
 ];
 const SERVE_HEDGE_GOLDEN: &str = include_str!("../ci/serve_hedge_golden.json");
-const SERVE_PARTITION_GOLDEN: &str = include_str!("../ci/serve_partition_golden.json");
+/// `(seed, golden)` for the partition replay matrix; seed 42's golden
+/// predates the others and keeps its unsuffixed name.
+const PARTITION_GOLDENS: [(u64, &str, &str); 3] = [
+    (
+        7,
+        "ci/serve_partition_golden_7.json",
+        include_str!("../ci/serve_partition_golden_7.json"),
+    ),
+    (
+        42,
+        "ci/serve_partition_golden.json",
+        include_str!("../ci/serve_partition_golden.json"),
+    ),
+    (
+        1234,
+        "ci/serve_partition_golden_1234.json",
+        include_str!("../ci/serve_partition_golden_1234.json"),
+    ),
+];
 
 /// What `--trace <file>` writes.
 fn as_written(trace: String) -> String {
@@ -95,22 +113,21 @@ fn hedged_serve_campaign_matches_its_golden() {
     );
 }
 
-/// `basecamp serve --seed 42 --chaos 4 --partition-plan 3 --retries
+/// `basecamp serve --seed N --chaos 4 --partition-plan 3 --retries
 /// --hedge --limiter --brownout --trace`.
 #[test]
 fn partition_serve_campaign_matches_its_golden() {
-    let report = run_serve(&ServeOptions {
-        seed: 42,
-        chaos: 4,
-        partition: 3,
-        retries: true,
-        hedge: true,
-        limiter: true,
-        brownout: true,
-        ..ServeOptions::default()
-    });
-    assert!(
-        as_written(report.trace_json()) == SERVE_PARTITION_GOLDEN,
-        "ci/serve_partition_golden.json drifted"
-    );
+    for (seed, path, golden) in PARTITION_GOLDENS {
+        let report = run_serve(&ServeOptions {
+            seed,
+            chaos: 4,
+            partition: 3,
+            retries: true,
+            hedge: true,
+            limiter: true,
+            brownout: true,
+            ..ServeOptions::default()
+        });
+        assert!(as_written(report.trace_json()) == golden, "{path} drifted");
+    }
 }
